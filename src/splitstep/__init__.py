@@ -29,7 +29,6 @@ from .blockops import (
     write_block_vector,
 )
 from .linsolve import (
-    CgSolver,
     DiagFactorization,
     NotPositiveDefiniteError,
     SolveFailureError,

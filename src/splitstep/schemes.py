@@ -195,6 +195,7 @@ def forcing_sample(problem: EvolutionProblem, cfg: SchemeConfig, n: int) -> Bloc
 class WeightedWorkspace:
     shifted: BlockOperator
     factor: SpdFactor
+    norm_inf: float
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def _shifted_operator(problem: EvolutionProblem, cfg: SchemeConfig) -> BlockOper
 
 def _prepare_weighted(problem: EvolutionProblem, cfg: SchemeConfig) -> WeightedWorkspace:
     shifted = _shifted_operator(problem, cfg)
-    return WeightedWorkspace(shifted, factor_spd(shifted.to_dense(), context="B + sigma*tau*A"))
+    return WeightedWorkspace(shifted, factor_spd(shifted, context="B + sigma*tau*A"), shifted.norm_inf())
 
 
 def _prepare_factorized(problem: EvolutionProblem, cfg: SchemeConfig) -> FactorizedWorkspace:
@@ -283,7 +284,7 @@ def weighted_step(
     if workspace is None:
         workspace = _prepare_weighted(problem, cfg)
     g = _residual_rhs(problem, cfg, state, phi)
-    dy = solve_spd_full(workspace.shifted, g, factor=workspace.factor)
+    dy = solve_spd_full(workspace.shifted, g, factor=workspace.factor, norm_inf=workspace.norm_inf)
     return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
 
 
@@ -416,6 +417,15 @@ def _step_function(kind: SchemeKind):
     return three_level_step
 
 
+def _require_finite(state: SchemeState):
+    """Divergence guard: the per-step solves do not scan their inputs, so a
+    non-finite level is stopped here, at the transition that produced it."""
+    if not all(np.isfinite(part).all() for part in state.y.parts):
+        raise RunStepError(
+            f"transition {state.n - 1} -> {state.n} produced a non-finite level", step=state.n - 1
+        )
+
+
 def run(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
@@ -439,6 +449,7 @@ def run(
             state = three_level_init(problem, cfg, workspace)
         except Exception as err:
             raise RunStepError(f"startup transition 0 -> 1 failed: {err}", step=0) from err
+        _require_finite(state)
         remaining = cfg.n_steps - 1
     else:
         remaining = cfg.n_steps
@@ -454,6 +465,7 @@ def run(
             new = step(problem, cfg, state, workspace, phi=phi)
         except Exception as err:
             raise RunStepError(f"transition {state.n} -> {state.n + 1} failed: {err}", step=state.n) from err
+        _require_finite(new)
         extras = {}
         for obs in observers:
             extras.update(obs.transition(problem, cfg, state, new, phi))

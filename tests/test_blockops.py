@@ -20,6 +20,7 @@ from splitstep import (
     weighted_norm,
 )
 from splitstep.blockops import (
+    SPARSE_MIN_ORDER,
     read_block_operator,
     read_block_vector,
     read_coo_matrix,
@@ -97,6 +98,20 @@ class TestBlockOperator:
         np.testing.assert_array_equal(I.apply(x).to_flat(), x.to_flat())
         twoI = BlockOperator.identity(dims, scale=2.0)
         np.testing.assert_array_equal(twoI.apply(x).to_flat(), 2.0 * x.to_flat())
+
+    def test_identity_blocks_sparse_from_crossover(self):
+        I = BlockOperator.identity(BlockDims((SPARSE_MIN_ORDER - 1, SPARSE_MIN_ORDER)), scale=3.0)
+        assert not sp.issparse(I.block(0, 0)) and sp.issparse(I.block(1, 1))
+        np.testing.assert_array_equal(I.to_dense(), 3.0 * np.eye(2 * SPARSE_MIN_ORDER - 1))
+
+    def test_norm_inf_matches_dense(self):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            M = random_symmetric(rng, random_dims(rng), sparse_fraction=0.5)
+            assert M.norm_inf() == pytest.approx(np.abs(M.to_dense()).sum(axis=1).max(), rel=1e-14)
+        # a sparse block with an empty row
+        M = BlockOperator(BlockDims((3,)), {(0, 0): sp.csr_array(np.array([[0.0, 0, 0], [1, -2, 0], [0, 0, 0.5]]))})
+        assert M.norm_inf() == 3.0
 
     def test_from_dense_roundtrip_and_zero_dropping(self):
         dims = BlockDims((1, 2))
@@ -228,6 +243,29 @@ class TestSymmetryDefect:
         dims = BlockDims((2,))
         M = BlockOperator(dims, {(0, 0): [[0.0, 1.0], [0.0, 0.0]]})
         assert symmetry_defect(M) == 1.0
+
+    def test_matches_dense_for_mixed_blocks(self):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            dims = random_dims(rng)
+            M = random_symmetric(rng, dims, sparse_fraction=0.5)
+            noise = BlockOperator.from_dense(dims, 1e-3 * rng.standard_normal((dims.total, dims.total)))
+            noisy = BlockOperator(dims, {**M.blocks, (0, 0): lincomb(1.0, M, 1.0, noise).block(0, 0)})
+            dense = noisy.to_dense()
+            assert symmetry_defect(noisy) == np.abs(dense - dense.T).max()
+
+    def test_sparse_blocks_are_not_densified(self, monkeypatch):
+        m = 65_535
+        lap = laplacian_1d(m)
+        coupling = sp.csr_array(sp.diags_array([np.arange(m - 1.0)], offsets=[1]))
+        M = BlockOperator(BlockDims((m, m)), {(0, 0): lap, (1, 1): lap, (0, 1): coupling, (1, 0): 2.0 * coupling.T})
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("sparse block densified")
+
+        monkeypatch.setattr(sp.csr_array, "toarray", refuse)
+        assert symmetry_defect(M) == m - 2.0
+        triangular_split(lincomb(1.0, M, 1.0, M.transpose()))
 
 
 class TestTriangularSplit:

@@ -1,12 +1,20 @@
 import csv
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 from textwrap import dedent
+
+try:
+    import tomllib
+except ImportError:  # Python 3.10
+    import tomli as tomllib
 
 import numpy as np
 import pytest
 
+import splitstep
 import splitstep.cli as cli
 from splitstep import (
     BlockDims,
@@ -545,11 +553,20 @@ class TestMatrixFilesProblem:
 
 
 def test_console_script_entry_point(tmp_path):
+    # the console script and ``python -m splitstep`` must reach the same main
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["splitstep"] == "splitstep.cli:main"
+
+    # run the package this test imported, installed or not
+    package_root = str(Path(splitstep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     config = write_config(tmp_path, MANUFACTURED_RUN)
     result = subprocess.run(
-        ["splitstep", "run", "--config", config, "--out", str(tmp_path), "--quiet"],
+        [sys.executable, "-m", "splitstep", "run", "--config", config, "--out", str(tmp_path), "--quiet"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run.csv").exists()

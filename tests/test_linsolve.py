@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from scipy.linalg import lapack
 
 from splitstep import (
     BlockDims,
+    example_coupled_spec,
+    lincomb,
     BlockOperator,
     BlockVector,
-    CgSolver,
     DiagFactorization,
     NotPositiveDefiniteError,
     SolveFailureError,
@@ -19,7 +21,7 @@ from splitstep import (
     solve_spd_full,
     triangular_split,
 )
-from splitstep.blockops import DimensionMismatchError
+from splitstep.blockops import SPARSE_MIN_ORDER, DimensionMismatchError
 from splitstep.linsolve import BlockStructureError
 
 from helpers import random_block_diag_spd, random_dims, random_spd, random_vector
@@ -70,38 +72,15 @@ class TestFactorSpd:
         with pytest.raises(NotPositiveDefiniteError, match="mass block"):
             factor_spd(np.array([[0.0]]), context="mass block")
 
-    def test_rejects_nonsquare_and_unknown_method(self):
+    def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             factor_spd(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="unknown factorization method"):
-            factor_spd(np.eye(2), method="lu")
 
     def test_accepts_sparse_input(self):
         G = sp.csr_array(np.array([[3.0, 1.0], [1.0, 3.0]]))
         factor = factor_spd(G)
         x = factor.solve(np.array([4.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
-
-
-class TestCgPath:
-    def test_matches_direct(self):
-        rng = np.random.default_rng(6)
-        n = 12
-        x = rng.standard_normal((n, n))
-        G = x.T @ x + np.eye(n)
-        rhs = rng.standard_normal(n)
-        direct = factor_spd(G).solve(rhs)
-        iterative = factor_spd(sp.csr_array(G), method="cg").solve(rhs)
-        np.testing.assert_allclose(iterative, direct, rtol=0, atol=1e-9 * np.abs(direct).max())
-
-    def test_budget_exhaustion_raises(self):
-        m = 40
-        G = laplacian_1d(m)
-        rhs = np.ones(m)
-        solver = CgSolver(G, maxiter=1)
-        with pytest.raises(SolveFailureError) as exc_info:
-            solver.solve(rhs)
-        assert exc_info.value.iterations == 1
 
 
 class TestDiagFactorization:
@@ -191,9 +170,75 @@ class TestTriangularSweeps:
 
 
 def _add(M, N):
-    from splitstep import lincomb
-
     return lincomb(1.0, M, 1.0, N)
+
+
+def _banded_spd(rng, n, kd, shift=1.0):
+    """Sparse symmetric matrix of bandwidth kd, diagonally dominant up to shift."""
+    diags = [rng.standard_normal(n - k) for k in range(1, kd + 1)]
+    offsets = [0] + [-k for k in range(1, kd + 1)] + list(range(1, kd + 1))
+    M = sp.diags_array([np.zeros(n)] + diags + diags, offsets=offsets)
+    dominance = np.abs(M).sum(axis=1)
+    return sp.csr_array(M + sp.diags_array(dominance + shift))
+
+
+class TestBandedPath:
+    def test_small_orders_stay_dense(self):
+        G = laplacian_1d(SPARSE_MIN_ORDER - 1) + sp.identity(SPARSE_MIN_ORDER - 1)
+        assert factor_spd(G).bandwidth is None
+        assert factor_spd(laplacian_1d(SPARSE_MIN_ORDER)).bandwidth == 1
+
+    @pytest.mark.parametrize("kd", [0, 1, 4])
+    def test_matches_dense_solve(self, kd):
+        rng = np.random.default_rng(11 + kd)
+        n = 300
+        G = _banded_spd(rng, n, kd)
+        factor = factor_spd(G)
+        assert factor.bandwidth == kd and factor.perm is None
+        rhs = rng.standard_normal(n)
+        want = np.linalg.solve(G.toarray(), rhs)
+        got = factor.solve(rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_dense_input_above_crossover(self):
+        rng = np.random.default_rng(12)
+        G = _banded_spd(rng, 200, 2)
+        rhs = rng.standard_normal(200)
+        np.testing.assert_array_equal(factor_spd(G.toarray()).solve(rhs), factor_spd(G).solve(rhs))
+
+    def test_pivot_index_matches_dense(self):
+        rng = np.random.default_rng(13)
+        n = 400
+        G = _banded_spd(rng, n, 3).tolil()
+        G[257, 257] = -5.0
+        G = sp.csr_array(G)
+        _, dense_info = lapack.dpotrf(G.toarray(), lower=1)
+        assert dense_info > 0
+        with pytest.raises(NotPositiveDefiniteError, match="band block") as exc_info:
+            factor_spd(G, context="band block")
+        assert exc_info.value.pivot == dense_info
+
+    def test_check_finite(self):
+        factor = factor_spd(laplacian_1d(SPARSE_MIN_ORDER))
+        rhs = np.ones(SPARSE_MIN_ORDER)
+        rhs[3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            factor.solve(rhs)
+        assert np.isnan(factor.solve(rhs, check_finite=False)).all()
+
+    def test_rcm_ordered_weighted_solve_matches_dense(self):
+        from splitstep.problems import assemble_operators
+
+        A, B = assemble_operators(example_coupled_spec(p=2, m=300))
+        shifted = lincomb(1.0, B, 0.5 / 64, A)
+        factor = factor_spd(shifted)
+        # natural order: the coupling blocks sit m = 300 off the diagonal
+        assert factor.perm is not None and factor.bandwidth <= 3
+        rng = np.random.default_rng(14)
+        rhs = random_vector(rng, shifted.dims)
+        got = solve_spd_full(shifted, rhs, factor=factor).to_flat()
+        want = np.linalg.solve(shifted.to_dense(), rhs.to_flat())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestFullSolve:
@@ -236,6 +281,21 @@ class TestFullSolve:
         rhs = BlockVector(dims, ([1.0, 1.0],))
         with pytest.raises(SolveFailureError, match="residual"):
             solve_spd_full(M, rhs, factor=wrong)
+
+    def test_nan_fails_residual_check(self):
+        dims = BlockDims((2,))
+        M = BlockOperator.identity(dims)
+        rhs = BlockVector(dims, ([1.0, np.nan],))
+        with pytest.raises(SolveFailureError, match="residual nan"):
+            solve_spd_full(M, rhs)
+
+    def test_backward_error_check_scales_with_operator(self):
+        # |M| = 4e8 at m = 10000: the residual of a correct solve is far
+        # above 1e-11 |rhs| but its backward error is at rounding level
+        M = BlockOperator(BlockDims((10_000,)), {(0, 0): laplacian_1d(10_000)})
+        rhs = BlockVector(M.dims, (np.ones(10_000),))
+        x = solve_spd_full(M, rhs)
+        assert (M.apply(x) - rhs).norm() > 1e-11 * rhs.norm()
 
     @given(seeds)
     def test_solve_then_apply_roundtrip(self, seed):

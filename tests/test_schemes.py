@@ -1,7 +1,9 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from splitstep import (
@@ -18,17 +20,21 @@ from splitstep import (
     SchemeState,
     SolveFailureError,
     constant_forcing,
+    example_coupled_spec,
+    example_porosity_spec,
     factorized_step,
     forcing_sample,
+    manufactured_problem,
     prepare,
     run,
     three_level_init,
     three_level_step,
     triangular_split,
+    weighted_norm,
     weighted_step,
     zero_forcing,
 )
-from splitstep.blockops import DimensionMismatchError
+from splitstep.blockops import SPARSE_MIN_ORDER, DimensionMismatchError
 from splitstep.schemes import FactorizedWorkspace, ThreeLevelWorkspace, WeightedWorkspace
 
 from helpers import (
@@ -39,6 +45,7 @@ from helpers import (
     random_spd,
     random_vector,
     scalar_problem,
+    uncertified_grid_problem,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -429,3 +436,87 @@ class TestRun:
             prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=1)),
             ThreeLevelWorkspace,
         )
+
+
+class TestBandedSchemes:
+    """Above the band crossover every scheme runs on band factors."""
+
+    def test_identity_blocks_follow_the_crossover(self):
+        for m, sparse in ((31, False), (SPARSE_MIN_ORDER, True)):
+            prob, _ = uncertified_grid_problem(example_porosity_spec(p=2, m=m))
+            ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
+            for op in (ws.c1_plus, ws.c2_plus, ws.c1_minus, ws.c2_minus):
+                assert all(sp.issparse(op.block(a, a)) == sparse for a in range(2))
+            assert all((f.bandwidth is not None) == sparse for f in ws.diag.factors)
+
+    def test_sigma_zero_coincidence_at_m300(self):
+        # with sigma = 0 the factorized operator B B^{-1} B is B itself, so
+        # both schemes solve with the same banded factor of B
+        problem = manufactured_problem(example_coupled_spec(p=2, m=300)).problem
+        finals = {}
+        for kind in ("weighted", "factorized"):
+            cfg = SchemeConfig(kind, sigma=0.0, tau=1e-6, n_steps=4)
+            finals[kind] = run(problem, cfg).final_state.to_flat()
+        ws = prepare(problem, SchemeConfig("weighted", sigma=0.0, tau=1e-6, n_steps=1))
+        assert ws.factor.bandwidth is not None
+        gap = np.abs(finals["weighted"] - finals["factorized"]).max()
+        assert gap <= 1e-13 * np.abs(finals["weighted"]).max()
+
+    @pytest.mark.parametrize(
+        "kind, sigma, spec, bound",
+        [
+            ("weighted", 0.5, example_coupled_spec, 5e-3),
+            ("factorized", 0.5, example_coupled_spec, 2.5e-2),
+            ("three_level", 1.0, example_porosity_spec, 1e-2),
+        ],
+    )
+    def test_eight_steps_at_m65535(self, kind, sigma, spec, bound):
+        prob, profile = uncertified_grid_problem(spec(p=2, m=65_535))
+        cfg = SchemeConfig(kind, sigma=sigma, tau=1.0 / 8, n_steps=8)
+        log = run(prob, cfg)
+        assert len(log.records) == 9
+        assert all(np.isfinite(rec.norm_a) for rec in log.records)
+        exact = float(np.exp(-1.0)) * profile
+        error = weighted_norm(prob.A, log.final_state - exact) / weighted_norm(prob.A, exact)
+        assert error <= bound
+        ws = prepare(prob, cfg)
+        if kind == "factorized":
+            assert [f.bandwidth for f in ws.diag.factors] == [1, 1]
+        else:
+            weighted = ws if kind == "weighted" else ws.startup
+            assert weighted.factor.perm is not None and weighted.factor.bandwidth <= 3
+
+
+class TestDivergenceGuard:
+    @staticmethod
+    def _dense_overflow_transition(problem, cfg):
+        """Dense replay of y^{n+1} = y^n + tau B^{-1} (phi^n - A y^n), the
+        sigma = 0 form of both two-level schemes; returns the transition
+        whose level overflows."""
+        a, b = problem.A.to_dense(), problem.B.to_dense()
+        y = problem.v0.to_flat()
+        for n in range(cfg.n_steps):
+            phi = forcing_sample(problem, cfg, n).to_flat()
+            y = y + cfg.tau * np.linalg.solve(b, phi - a @ y)
+            if not np.isfinite(y).all():
+                return n
+        raise AssertionError("replay stayed finite")
+
+    @pytest.mark.parametrize("kind", ["weighted", "factorized"])
+    def test_blow_up_raises_at_the_step(self, kind):
+        problem = manufactured_problem(example_coupled_spec(p=2, m=31)).problem
+        cfg = SchemeConfig(kind, sigma=0.0, tau=10.0, n_steps=200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RunStepError) as exc_info:
+                run(problem, cfg, keep_states=False)
+            step = exc_info.value.step
+            # every level up to the failing transition is finite ...
+            before = run(problem, replace(cfg, n_steps=step))
+            # ... and the dense replay overflows there too, give or take the
+            # one step that summation order can shift an overflow by
+            dense_step = self._dense_overflow_transition(problem, cfg)
+        assert all(np.isfinite(y.to_flat()).all() for y in before.states)
+        assert abs(step - dense_step) <= 1
+        assert "infs or NaNs" not in str(exc_info.value)
+        if kind == "factorized":
+            assert "non-finite level" in str(exc_info.value)
