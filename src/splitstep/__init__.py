@@ -42,7 +42,6 @@ from .problems import (
     DiffusionSpec,
     ManufacturedSolution,
     build_coupled_diffusion,
-    build_double_porosity,
     example_coupled_spec,
     example_porosity_spec,
     laplacian_1d,
@@ -82,14 +81,11 @@ from .verify import (
     UnsupportedForcingError,
     compare_schemes,
     convergence_study,
-    diff_weight_min_eig,
     factorized_operator_identity_error,
     factorized_operator_psd_margin,
     reference_solution,
-    three_level_energy,
     three_level_run_slacks,
     tiny_step_reference,
-    two_level_estimate_slack,
     two_level_run_slacks,
 )
 

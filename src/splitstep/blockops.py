@@ -1,17 +1,20 @@
 """Block vector and block operator algebra on a direct sum of component spaces.
 
-A point in the state space is a tuple of p real vectors, one per component
-space of dimensions ``sizes = (n_1, ..., n_p)``.  Linear operators are p-by-p
-grids of matrix blocks; a missing block acts as an exact zero.  Blocks may be
-dense ndarrays or CSR sparse arrays, and the schemes only ever invert the
-diagonal blocks, which is why the blockwise storage is kept explicit instead
-of assembling one monolithic matrix.
+A point in the state space is one contiguous read-only array of length
+``n_1 + ... + n_p``, the components stored one after another in the order of
+``sizes = (n_1, ..., n_p)``; ``BlockVector.parts`` gives per-component views
+of it.  Linear operators are p-by-p grids of matrix blocks; a missing block
+acts as an exact zero.  Blocks may be dense ndarrays or CSR sparse arrays.
+The schemes only ever invert the diagonal blocks, which is why the blockwise
+storage is kept explicit; everything that acts on the whole space
+(``apply``, norms, densification) goes through one CSR matrix that each
+operator assembles once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -36,8 +39,6 @@ class EigenConvergenceError(RuntimeError):
         super().__init__(message)
         self.iterations = iterations
 
-
-Block = "np.ndarray | sp.csr_array"
 
 # Blocks and matrices of this order and above are kept sparse and factored
 # banded (``linsolve.factor_spd``); smaller ones are dense, where sparse
@@ -77,11 +78,9 @@ def _block_dense(block) -> np.ndarray:
     return block.toarray() if sp.issparse(block) else block
 
 
-def _block_abs_row_sums(block) -> np.ndarray:
-    if sp.issparse(block):
-        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-        return np.bincount(rows, weights=np.abs(block.data), minlength=block.shape[0])
-    return np.abs(block).sum(axis=1)
+def _csr_rows(csr) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
 def _block_t(block):
@@ -114,54 +113,74 @@ class BlockDims:
         return tuple(int(o) for o in off)
 
 
-@dataclass(frozen=True)
 class BlockVector:
-    """Element of the product space, stored per component."""
+    """Element of the product space: one contiguous read-only array.
 
-    dims: BlockDims
-    parts: tuple[np.ndarray, ...]
+    ``BlockVector(dims, flat)`` copies ``flat``, so later writes to the
+    caller's array cannot change the vector; ``from_parts`` builds one from
+    per-component arrays.  ``to_flat()`` returns the stored array itself and
+    ``parts`` views into it, all read-only.
+    """
 
-    def __post_init__(self):
-        parts = tuple(np.asarray(part, dtype=float).reshape(-1) for part in self.parts)
-        if len(parts) != self.dims.p:
-            raise DimensionMismatchError(f"expected {self.dims.p} parts, got {len(parts)}")
-        for part, n in zip(parts, self.dims.sizes):
-            if part.shape != (n,):
-                raise DimensionMismatchError(f"part length {part.shape[0]} != {n}")
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ("dims", "_flat")
+
+    def __init__(self, dims: BlockDims, flat):
+        flat = np.array(flat, dtype=float)
+        if flat.shape != (dims.total,):
+            raise DimensionMismatchError(f"flat shape {flat.shape} != ({dims.total},)")
+        self._init(dims, flat)
+
+    def _init(self, dims: BlockDims, flat: np.ndarray):
+        flat.flags.writeable = False
+        self.dims = dims
+        self._flat = flat
+
+    @classmethod
+    def _own(cls, dims: BlockDims, flat: np.ndarray) -> "BlockVector":
+        """Wrap a freshly computed array of the right shape without copying."""
+        out = cls.__new__(cls)
+        out._init(dims, flat)
+        return out
 
     @classmethod
     def zeros(cls, dims: BlockDims) -> "BlockVector":
-        return cls(dims, tuple(np.zeros(n) for n in dims.sizes))
+        return cls._own(dims, np.zeros(dims.total))
 
     @classmethod
-    def from_flat(cls, dims: BlockDims, flat: np.ndarray) -> "BlockVector":
-        flat = np.asarray(flat, dtype=float).reshape(-1)
-        if flat.shape != (dims.total,):
-            raise DimensionMismatchError(f"flat length {flat.shape[0]} != {dims.total}")
-        off = dims.offsets
-        return cls(dims, tuple(flat[off[a] : off[a + 1]].copy() for a in range(dims.p)))
+    def from_parts(cls, dims: BlockDims, parts) -> "BlockVector":
+        parts = [np.asarray(part, dtype=float).reshape(-1) for part in parts]
+        if len(parts) != dims.p:
+            raise DimensionMismatchError(f"expected {dims.p} parts, got {len(parts)}")
+        for part, n in zip(parts, dims.sizes):
+            if part.shape != (n,):
+                raise DimensionMismatchError(f"part length {part.shape[0]} != {n}")
+        return cls._own(dims, np.concatenate(parts))
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        off = self.dims.offsets
+        return tuple(self._flat[off[a] : off[a + 1]] for a in range(self.dims.p))
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(self.parts)
+        return self._flat
 
     def dot(self, other: "BlockVector") -> float:
         _check_same_dims(self.dims, other.dims)
-        return float(sum(np.dot(x, y) for x, y in zip(self.parts, other.parts)))
+        return float(self._flat @ other._flat)
 
     def norm(self) -> float:
         return float(np.sqrt(self.dot(self)))
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         _check_same_dims(self.dims, other.dims)
-        return BlockVector(self.dims, tuple(x + y for x, y in zip(self.parts, other.parts)))
+        return BlockVector._own(self.dims, self._flat + other._flat)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         _check_same_dims(self.dims, other.dims)
-        return BlockVector(self.dims, tuple(x - y for x, y in zip(self.parts, other.parts)))
+        return BlockVector._own(self.dims, self._flat - other._flat)
 
     def __mul__(self, scalar: float) -> "BlockVector":
-        return BlockVector(self.dims, tuple(float(scalar) * x for x in self.parts))
+        return BlockVector._own(self.dims, float(scalar) * self._flat)
 
     __rmul__ = __mul__
 
@@ -226,36 +245,51 @@ class BlockOperator:
 
     def apply(self, x: BlockVector) -> BlockVector:
         _check_same_dims(self.dims, x.dims)
-        out = [np.zeros(n) for n in self.dims.sizes]
-        for (a, b), blk in self.blocks.items():
-            out[a] += blk @ x.parts[b]
-        return BlockVector(self.dims, tuple(out))
+        return BlockVector._own(self.dims, self._matrix @ x.to_flat())
 
     def transpose(self) -> "BlockOperator":
         return BlockOperator(self.dims, {(b, a): _block_t(blk) for (a, b), blk in self.blocks.items()})
 
     def to_dense(self) -> np.ndarray:
-        off = self.dims.offsets
-        dense = np.zeros((self.dims.total, self.dims.total))
-        for (a, b), blk in self.blocks.items():
-            dense[off[a] : off[a + 1], off[b] : off[b + 1]] = _block_dense(blk)
-        return dense
+        return self._matrix.toarray()
 
     def to_sparse(self) -> sp.csr_array:
-        grid = [[self.blocks.get((a, b)) for b in range(self.dims.p)] for a in range(self.dims.p)]
-        return sp.csr_array(sp.bmat(grid, format="csr")) if self.blocks else sp.csr_array(
-            (self.dims.total, self.dims.total)
-        )
+        """A freshly assembled CSR matrix of the whole operator.
+
+        Built from the blocks' coordinates: ``sp.bmat`` fails on a grid of
+        equal-shaped dense blocks, drops a block row that holds no block, and
+        its format conversions cost several times more at small orders.
+        """
+        off = self.dims.offsets
+        n = self.dims.total
+        rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for (a, b), blk in self.blocks.items():
+            if sp.issparse(blk):
+                r, c, v = _csr_rows(blk), blk.indices, blk.data
+            else:
+                r, c = np.nonzero(blk)
+                v = blk[r, c]
+            rows.append(r + off[a])
+            cols.append(c + off[b])
+            vals.append(v)
+        r, c = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((c, r))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+        return sp.csr_array((np.concatenate(vals)[order], c[order], indptr), shape=(n, n))
+
+    @cached_property
+    def _matrix(self) -> sp.csr_array:
+        # private: to_sparse() hands out copies that callers may change
+        return self.to_sparse()
 
     def norm_inf(self) -> float:
-        """Infinity norm (largest absolute row sum), computed blockwise."""
-        rows = [np.zeros(n) for n in self.dims.sizes]
-        for (a, _), blk in self.blocks.items():
-            rows[a] += _block_abs_row_sums(blk)
-        return float(max(r.max() for r in rows))
+        """Infinity norm (largest absolute row sum)."""
+        csr = self._matrix
+        return float(np.bincount(_csr_rows(csr), weights=np.abs(csr.data), minlength=csr.shape[0]).max())
 
     def absmax(self) -> float:
-        return max((_block_absmax(blk) for blk in self.blocks.values()), default=0.0)
+        data = self._matrix.data
+        return float(np.abs(data).max()) if data.size else 0.0
 
     def is_block_diagonal(self) -> bool:
         return all(a == b for (a, b) in self.blocks)
@@ -550,7 +584,7 @@ def read_block_vector(path: str, dims: BlockDims) -> BlockVector:
             values.append(float(tok))
     if len(values) != dims.total:
         raise ValueError(f"{path}: expected {dims.total} values, got {len(values)}")
-    return BlockVector.from_flat(dims, np.asarray(values))
+    return BlockVector(dims, values)
 
 
 def write_block_vector(path: str, x: BlockVector) -> None:

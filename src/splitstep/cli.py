@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ from .linsolve import NotPositiveDefiniteError, SolveFailureError
 from .problems import (
     DiffusionSpec,
     build_coupled_diffusion,
-    build_double_porosity,
     example_coupled_spec,
     example_porosity_spec,
     manufactured_problem,
@@ -53,12 +51,11 @@ from .schemes import (
     zero_forcing,
 )
 from .verify import (
-    CompareReport,
     EnergyObserver,
     EstimateObserver,
+    ThreeLevelEstimate,
     compare_schemes,
     convergence_study,
-    diff_weight_min_eig,
 )
 
 logger = logging.getLogger(__name__)
@@ -144,7 +141,7 @@ def _thread_count() -> int:
     return n
 
 
-def _diffusion_spec(cp, config_dir: str, kind: str) -> DiffusionSpec:
+def _diffusion_spec(cp, kind: str) -> DiffusionSpec:
     p = int(_get(cp, "problem", "p", "2"))
     m = int(_get(cp, "problem", "m", "31"))
     base = example_porosity_spec(p, m) if kind == "double_porosity" else example_coupled_spec(p, m)
@@ -167,14 +164,17 @@ def build_problem(cp, config_dir: str) -> EvolutionProblem:
     if T <= 0.0:
         raise ConfigError(f"[scheme] T={T} must be positive")
     if kind in ("coupled_diffusion", "double_porosity"):
-        spec = _diffusion_spec(cp, config_dir, kind)
-        builder = build_coupled_diffusion if kind == "coupled_diffusion" else build_double_porosity
+        spec = _diffusion_spec(cp, kind)
+        if kind == "coupled_diffusion" and not spec.b_is_diagonal():
+            raise ConfigError("[problem] kind=coupled_diffusion requires a diagonal b table")
+        if kind == "double_porosity" and spec.b_is_diagonal():
+            raise ConfigError("[problem] kind=double_porosity requires off-diagonal b entries")
         try:
-            return builder(spec, T=T)
+            return build_coupled_diffusion(spec, T=T)
         except ValueError as err:
             raise ConfigError(f"[problem]: {err}") from err
     if kind == "manufactured":
-        spec = _diffusion_spec(cp, config_dir, kind)
+        spec = _diffusion_spec(cp, kind)
         amplitudes = None
         if _get(cp, "problem", "c") is not None:
             amplitudes = np.asarray(_parse_numbers(_get(cp, "problem", "c"), "[problem] c"))
@@ -210,7 +210,7 @@ def _matrix_files_problem(cp, config_dir: str, T: float) -> EvolutionProblem:
     if v0_file is not None:
         v0 = read_block_vector(_resolve(config_dir, v0_file), A.dims)
     else:
-        v0 = BlockVector(A.dims, tuple(np.ones(n) for n in A.dims.sizes))
+        v0 = BlockVector(A.dims, np.ones(A.dims.total))
     forcing_kind = (_get(cp, "problem", "forcing", "zero") or "zero").strip()
     if forcing_kind == "zero":
         forcing = zero_forcing(A.dims)
@@ -253,9 +253,18 @@ def _steps_for_horizon(T: float, tau: float) -> tuple[int, float]:
 
 def _make_config(kind: SchemeKind, sigma: float, tau: float, n_steps: int, epsilon: float) -> SchemeConfig:
     try:
-        return SchemeConfig(kind=kind, sigma=sigma, tau=tau, n_steps=n_steps, epsilon=epsilon)
+        cfg = SchemeConfig(kind=kind, sigma=sigma, tau=tau, n_steps=n_steps, epsilon=epsilon)
     except ValueError as err:
         raise ConfigError(f"[scheme]: {err}") from err
+    if not cfg.in_hypothesis:
+        logger.warning(
+            "sigma=%g is below the stability threshold %g of the %s scheme; "
+            "no stability estimate is asserted",
+            sigma,
+            cfg.stability_threshold,
+            kind.value,
+        )
+    return cfg
 
 
 def _out_path(args, cp, default_name: str) -> str:
@@ -380,8 +389,12 @@ def _expected_window(kind: SchemeKind, sigma: float) -> tuple[float, float]:
 def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
     """One sweep cell: (min_slack, r_min_eig, status)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # not through _make_config: the sweep probes out-of-hypothesis cells
+        # on purpose and marks them in its table rather than warning
         cfg = SchemeConfig(kind=kind, sigma=sigma, tau=tau, n_steps=n_steps, epsilon=epsilon)
-        r_eig = diff_weight_min_eig(problem, cfg) if kind is SchemeKind.THREE_LEVEL else None
+        r_eig = None
+        if kind is SchemeKind.THREE_LEVEL:
+            r_eig = ThreeLevelEstimate(problem, cfg).diff_weight_min_eig()
         observer = EnergyObserver() if kind is SchemeKind.THREE_LEVEL else EstimateObserver()
         min_slack = None
         scale = 1.0
@@ -417,22 +430,13 @@ def cmd_stability(args, cp, config_dir: str) -> int:
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"[scheme] sigmas: sigma={s} outside the admitted range [0, 1]")
     cells = [(s, t) for s in sigmas for t in taus]
-
-    # the sweep probes out-of-hypothesis cells on purpose; silence the
-    # per-construction warnings for its duration
-    schemes_logger = logging.getLogger("splitstep.schemes")
-    previous_level = schemes_logger.level
-    schemes_logger.setLevel(logging.ERROR)
-    try:
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            results = list(
-                pool.map(
-                    lambda cell: _stability_cell(problem, kind, cell[0], cell[1], epsilon, n_steps),
-                    cells,
-                )
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        results = list(
+            pool.map(
+                lambda cell: _stability_cell(problem, kind, cell[0], cell[1], epsilon, n_steps),
+                cells,
             )
-    finally:
-        schemes_logger.setLevel(previous_level)
+        )
 
     rows = []
     any_fail = False

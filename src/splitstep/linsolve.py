@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import lapack
 
 from .blockops import SPARSE_MIN_ORDER, BlockOperator, BlockVector, DimensionMismatchError
 
@@ -68,17 +68,21 @@ class SpdFactor:
     perm: Optional[np.ndarray] = None
 
     def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
-        if self.bandwidth is None:
-            return cho_solve((self.chol_lower, True), np.asarray(rhs, dtype=float), check_finite=check_finite)
         rhs = np.asarray_chkfinite(rhs, dtype=float) if check_finite else np.asarray(rhs, dtype=float)
-        if self.perm is None:
+        if rhs.shape[:1] != self.chol_lower.shape[1:]:
+            raise DimensionMismatchError(f"rhs length {rhs.shape[0]} != order {self.chol_lower.shape[1]}")
+        # the LAPACK routines directly: scipy's cho_solve wrapper costs more
+        # than the solve itself at the orders of the shipped problems
+        if self.bandwidth is None:
+            x, info = lapack.dpotrs(self.chol_lower, rhs, lower=1)
+        elif self.perm is None:
             x, info = lapack.dpbtrs(self.chol_lower, rhs, lower=1)
         else:
             y, info = lapack.dpbtrs(self.chol_lower, rhs[self.perm], lower=1)
             x = np.empty_like(y)
             x[self.perm] = y
         if info != 0:
-            raise ValueError(f"invalid argument {-info} to dpbtrs")
+            raise ValueError(f"invalid argument {-info} to LAPACK solve")
         return x
 
 
@@ -169,39 +173,36 @@ class DiagFactorization:
         return self.factors[a].solve(rhs, check_finite=False)
 
 
+def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, order: range) -> BlockVector:
+    """Block substitution in the given component order: each component's
+    right-hand side loses the blocks of the components already solved."""
+    if T.dims.sizes != rhs.dims.sizes:
+        raise DimensionMismatchError(f"dims {T.dims.sizes} != {rhs.dims.sizes}")
+    off = T.dims.offsets
+    b = rhs.to_flat()
+    x = np.empty_like(b)
+    for i, a in enumerate(order):
+        acc = b[off[a] : off[a + 1]]
+        for c in order[:i]:
+            blk = T.blocks.get((a, c))
+            if blk is not None:
+                acc = acc - blk @ x[off[c] : off[c + 1]]
+        x[off[a] : off[a + 1]] = diag.solve_block(a, acc)
+    return BlockVector(T.dims, x)
+
+
 def solve_block_lower(L: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Forward substitution for a block lower triangular operator."""
     if not L.is_block_lower():
         raise BlockStructureError("operator has blocks above the diagonal, not lower triangular")
-    if L.dims.sizes != rhs.dims.sizes:
-        raise DimensionMismatchError(f"dims {L.dims.sizes} != {rhs.dims.sizes}")
-    parts: list[np.ndarray] = []
-    for a in range(L.dims.p):
-        acc = rhs.parts[a].copy()
-        for b in range(a):
-            blk = L.block(a, b)
-            if blk is not None:
-                acc -= blk @ parts[b]
-        parts.append(diag.solve_block(a, acc))
-    return BlockVector(L.dims, tuple(parts))
+    return _substitute(L, rhs, diag, range(L.dims.p))
 
 
 def solve_block_upper(U: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Backward substitution for a block upper triangular operator."""
     if not U.is_block_upper():
         raise BlockStructureError("operator has blocks below the diagonal, not upper triangular")
-    if U.dims.sizes != rhs.dims.sizes:
-        raise DimensionMismatchError(f"dims {U.dims.sizes} != {rhs.dims.sizes}")
-    p = U.dims.p
-    parts: list[Optional[np.ndarray]] = [None] * p
-    for a in range(p - 1, -1, -1):
-        acc = rhs.parts[a].copy()
-        for b in range(a + 1, p):
-            blk = U.block(a, b)
-            if blk is not None:
-                acc -= blk @ parts[b]
-        parts[a] = diag.solve_block(a, acc)
-    return BlockVector(U.dims, tuple(parts))
+    return _substitute(U, rhs, diag, range(U.dims.p - 1, -1, -1))
 
 
 def solve_spd_full(
@@ -226,11 +227,11 @@ def solve_spd_full(
     if norm_inf is None:
         norm_inf = M.norm_inf()
     b = rhs.to_flat()
-    x = factor.solve(b, check_finite=False)
-    out = BlockVector.from_flat(M.dims, x)
+    out = BlockVector(M.dims, factor.solve(b, check_finite=False))
+    x = out.to_flat()
     # measure against the operator, not the factor, so a stale or mismatched
     # factorization is caught and not just LAPACK breakage
-    residual = float(np.abs((M.apply(out) - rhs).to_flat()).max())
+    residual = float(np.abs(M.apply(out).to_flat() - b).max())
     bound = backward_tol * (norm_inf * float(np.abs(x).max()) + float(np.abs(b).max()))
     if not residual <= bound:
         raise SolveFailureError(

@@ -3,8 +3,9 @@
 Each component lives on the same interior grid of m points with spacing
 h = 1/(m+1).  The stiffness coupling is A_ab = k_ab * L + r_ab * I with L the
 scaled second-difference matrix, and the capacity coupling is B_ab = b_ab * I.
-Coupled diffusion keeps b diagonal; the double porosity variant has a full
-SPD b, which is the regime the three-level scheme exists for.
+A diagonal b gives coupled diffusion; a full SPD b gives the double porosity
+variant, the regime the three-level scheme exists for.  One builder,
+``build_coupled_diffusion``, assembles both.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def sine_profile(spec: DiffusionSpec, amplitudes: Optional[np.ndarray] = None) -
     if amplitudes.shape != (spec.p,):
         raise ValueError(f"need {spec.p} amplitudes, got {amplitudes.shape[0]}")
     wave = np.sin(np.pi * spec.grid)
-    return BlockVector(spec.dims, tuple(c * wave for c in amplitudes))
+    return BlockVector(spec.dims, np.outer(amplitudes, wave).ravel())
 
 
 def build_coupled_diffusion(
@@ -129,26 +130,12 @@ def build_coupled_diffusion(
     v0: Optional[BlockVector] = None,
     T: float = 1.0,
 ) -> EvolutionProblem:
-    """Coupled diffusion problem: components interact through A only, b diagonal."""
-    if not spec.b_is_diagonal():
-        raise ValueError("coupled diffusion requires a diagonal b table; use build_double_porosity")
-    A, B = assemble_operators(spec)
-    if forcing is None:
-        forcing = zero_forcing(spec.dims)
-    if v0 is None:
-        v0 = sine_profile(spec)
-    return EvolutionProblem(A=A, B=B, forcing=forcing, v0=v0, T=float(T))
+    """Coupled diffusion problem B du/dt + A u = f.
 
-
-def build_double_porosity(
-    spec: DiffusionSpec,
-    forcing=None,
-    v0: Optional[BlockVector] = None,
-    T: float = 1.0,
-) -> EvolutionProblem:
-    """Double porosity style problem: full SPD b couples the time derivatives."""
-    if spec.b_is_diagonal():
-        raise ValueError("double porosity requires off-diagonal b entries; use build_coupled_diffusion")
+    With a diagonal b table the components interact through A only; a full
+    SPD b also couples the time derivatives (double porosity), the regime
+    the three-level scheme exists for.
+    """
     A, B = assemble_operators(spec)
     if forcing is None:
         forcing = zero_forcing(spec.dims)

@@ -17,10 +17,9 @@ All transitions sample the forcing at t = (n + sigma) * tau.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .blockops import (
     BlockOperator,
     BlockVector,
     DimensionMismatchError,
-    TriangularPair,
     lincomb,
     triangular_split,
     weighted_norm,
@@ -42,8 +40,6 @@ from .linsolve import (
     solve_block_upper,
     solve_spd_full,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class SchemeKind(str, Enum):
@@ -88,14 +84,6 @@ class SchemeConfig:
         object.__setattr__(self, "n_steps", int(self.n_steps))
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon={self.epsilon} must be positive")
-        if self.sigma < self.stability_threshold:
-            logger.warning(
-                "sigma=%g is below the stability threshold %g of the %s scheme; "
-                "no stability estimate is asserted",
-                self.sigma,
-                self.stability_threshold,
-                self.kind.value,
-            )
 
     @property
     def stability_threshold(self) -> float:
@@ -126,10 +114,10 @@ class ExponentialSumForcing:
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, t: float) -> BlockVector:
-        out = BlockVector.zeros(self.dims)
+        out = np.zeros(self.dims.total)
         for rate, vec in self.terms:
-            out = out + float(np.exp(rate * t)) * vec
-        return out
+            out += float(np.exp(rate * t)) * vec.to_flat()
+        return BlockVector(self.dims, out)
 
 
 def zero_forcing(dims: BlockDims) -> ExponentialSumForcing:
@@ -200,7 +188,6 @@ class WeightedWorkspace:
 
 @dataclass(frozen=True)
 class FactorizedWorkspace:
-    split: TriangularPair
     lower: BlockOperator
     upper: BlockOperator
     diag: DiagFactorization
@@ -214,9 +201,6 @@ class ThreeLevelWorkspace:
     c2_minus: BlockOperator
     diag: DiagFactorization
     startup: WeightedWorkspace
-
-
-Workspace = "WeightedWorkspace | FactorizedWorkspace | ThreeLevelWorkspace"
 
 
 def _shifted_operator(problem: EvolutionProblem, cfg: SchemeConfig) -> BlockOperator:
@@ -240,7 +224,7 @@ def _prepare_factorized(problem: EvolutionProblem, cfg: SchemeConfig) -> Factori
     upper = lincomb(1.0, problem.B, st, split.upper)
     # lower and upper share identical diagonal blocks B_a + (sigma*tau/2) A_aa
     diag = DiagFactorization.from_operator(lower)
-    return FactorizedWorkspace(split, lower, upper, diag)
+    return FactorizedWorkspace(lower, upper, diag)
 
 
 def _prepare_three_level(problem: EvolutionProblem, cfg: SchemeConfig) -> ThreeLevelWorkspace:
@@ -420,7 +404,7 @@ def _step_function(kind: SchemeKind):
 def _require_finite(state: SchemeState):
     """Divergence guard: the per-step solves do not scan their inputs, so a
     non-finite level is stopped here, at the transition that produced it."""
-    if not all(np.isfinite(part).all() for part in state.y.parts):
+    if not np.isfinite(state.y.to_flat()).all():
         raise RunStepError(
             f"transition {state.n - 1} -> {state.n} produced a non-finite level", step=state.n - 1
         )

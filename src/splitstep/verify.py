@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .blockops import BlockOperator, BlockVector, CertificateError, triangular_split, weighted_norm
-from .linsolve import SpdFactor, factor_spd
+from .linsolve import factor_spd
 from .schemes import (
     EvolutionProblem,
     ExponentialSumForcing,
@@ -110,16 +110,6 @@ class TwoLevelEstimate:
         return self.bound_rhs(y_n, phi) - self.value(y_np1)
 
 
-def two_level_estimate_slack(
-    problem: EvolutionProblem,
-    cfg: SchemeConfig,
-    y_n: BlockVector,
-    y_np1: BlockVector,
-    phi: BlockVector,
-) -> float:
-    return TwoLevelEstimate(problem, cfg).slack(y_n, y_np1, phi)
-
-
 class ThreeLevelEstimate:
     """Energy bound for the three-level factorized scheme.
 
@@ -171,16 +161,6 @@ class ThreeLevelEstimate:
 
     def diff_weight_min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self._r)[0])
-
-
-def three_level_energy(
-    problem: EvolutionProblem, cfg: SchemeConfig, y: BlockVector, y_prev: BlockVector
-) -> float:
-    return ThreeLevelEstimate(problem, cfg).energy(y, y_prev)
-
-
-def diff_weight_min_eig(problem: EvolutionProblem, cfg: SchemeConfig) -> float:
-    return ThreeLevelEstimate(problem, cfg).diff_weight_min_eig()
 
 
 def factorized_operator_dense(
@@ -354,7 +334,7 @@ def reference_solution(problem: EvolutionProblem, t: float) -> BlockVector:
         duhamel[small] = t * np.exp(-lam[small] * t) * _phi1(s[small])
         duhamel[~small] = (np.exp(rate * t) - np.exp(-lam[~small] * t)) / (lam[~small] + rate)
         z += duhamel * g
-    return BlockVector.from_flat(problem.dims, modes @ z)
+    return BlockVector(problem.dims, modes @ z)
 
 
 def tiny_step_reference(problem: EvolutionProblem, t: float, tau_ref: float) -> BlockVector:

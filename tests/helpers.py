@@ -21,7 +21,7 @@ def random_dims(rng, p_choices=(2, 3, 4), size_range=(1, 8)) -> BlockDims:
 
 
 def random_vector(rng, dims: BlockDims) -> BlockVector:
-    return BlockVector(dims, tuple(rng.standard_normal(n) for n in dims.sizes))
+    return BlockVector.from_parts(dims, tuple(rng.standard_normal(n) for n in dims.sizes))
 
 
 def _maybe_sparse(rng, block, sparse_fraction):
@@ -96,7 +96,7 @@ def scalar_problem(a=2.0, b=1.0, v0=1.0, forcing=None, T=1.0) -> EvolutionProble
         A=BlockOperator(dims, {(0, 0): [[a]]}),
         B=BlockOperator(dims, {(0, 0): [[b]]}),
         forcing=forcing,
-        v0=BlockVector(dims, ([v0],)),
+        v0=BlockVector.from_parts(dims, ([v0],)),
         T=T,
     )
 

@@ -16,12 +16,11 @@ from splitstep import (
     EnergyObserver,
     EstimateObserver,
     SchemeConfig,
+    ThreeLevelEstimate,
     build_coupled_diffusion,
-    build_double_porosity,
     compare_schemes,
     constant_forcing,
     convergence_study,
-    diff_weight_min_eig,
     example_coupled_spec,
     example_porosity_spec,
     factorized_operator_identity_error,
@@ -69,7 +68,7 @@ def _coupled_problem(forcing=None):
 
 
 def _porosity_problem(forcing=None):
-    return build_double_porosity(example_porosity_spec(p=2, m=31), forcing=forcing)
+    return build_coupled_diffusion(example_porosity_spec(p=2, m=31), forcing=forcing)
 
 
 def test_criterion_1_triangular_split_identities():
@@ -187,11 +186,11 @@ def test_criterion_5_three_level_energy_bound():
     min_r_eig = np.inf
     for epsilon in (0.5, 1.0, 2.0):
         for tau in (1e-2, 1e-1):
-            problem = build_double_porosity(
+            problem = build_coupled_diffusion(
                 spec, forcing=random_smooth_forcing(rng, spec.dims), T=100.0 * tau
             )
             cfg = SchemeConfig("three_level", sigma=1.0, tau=tau, n_steps=100, epsilon=epsilon)
-            min_r_eig = min(min_r_eig, diff_weight_min_eig(problem, cfg))
+            min_r_eig = min(min_r_eig, ThreeLevelEstimate(problem, cfg).diff_weight_min_eig())
             observer = EnergyObserver()
             run(problem, cfg, observers=(observer,), keep_states=False)
             worst_rel = min(worst_rel, observer.min_slack / observer.initial_energy)

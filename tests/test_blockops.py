@@ -34,6 +34,29 @@ from helpers import random_dims, random_spd, random_symmetric, random_vector
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _dense_oracle(M: BlockOperator) -> np.ndarray:
+    """The operator as one dense matrix, filled block by block."""
+    off = M.dims.offsets
+    dense = np.zeros((M.dims.total, M.dims.total))
+    for (a, b), blk in M.blocks.items():
+        dense[off[a] : off[a + 1], off[b] : off[b + 1]] = blk.toarray() if sp.issparse(blk) else blk
+    return dense
+
+
+def _oracle_cases(rng, sparse_fraction=0.3):
+    """Random grids, plus the shapes that a whole-space assembly can get
+    wrong: p = 1, all blocks dense and of one shape, and a block row that
+    holds no block."""
+    cases = [random_symmetric(rng, random_dims(rng), sparse_fraction=sparse_fraction) for _ in range(10)]
+    for sizes in ((5,), (4, 4), (3, 3, 3)):
+        dims = BlockDims(sizes)
+        cases.append(BlockOperator.from_dense(dims, rng.standard_normal((dims.total, dims.total))))
+    cases.append(BlockOperator(BlockDims((6,)), {(0, 0): sp.csr_array(rng.standard_normal((6, 6)))}))
+    top_row = {(0, 0): rng.standard_normal((2, 2)), (0, 1): rng.standard_normal((2, 3))}
+    cases.append(BlockOperator(BlockDims((2, 3)), top_row))
+    return cases
+
+
 class TestBlockDims:
     def test_basic_accessors(self):
         dims = BlockDims((2, 3, 1))
@@ -54,15 +77,31 @@ class TestBlockVector:
         z = BlockVector.zeros(dims)
         assert z.norm() == 0.0
         flat = np.arange(5.0)
-        v = BlockVector.from_flat(dims, flat)
+        v = BlockVector(dims, flat)
         np.testing.assert_array_equal(v.parts[0], [0.0, 1.0])
         np.testing.assert_array_equal(v.parts[1], [2.0, 3.0, 4.0])
         np.testing.assert_array_equal(v.to_flat(), flat)
+        np.testing.assert_array_equal(BlockVector.from_parts(dims, v.parts).to_flat(), flat)
+
+    def test_flat_is_read_only_and_shared_with_parts(self):
+        dims = BlockDims((2, 3))
+        source = np.arange(5.0)
+        v = BlockVector(dims, source)
+        source[0] = 7.0  # the constructor copied
+        flat = v.to_flat()
+        assert flat[0] == 0.0 and v.to_flat() is flat
+        assert all(np.shares_memory(part, flat) for part in v.parts)
+        with pytest.raises(ValueError):
+            flat[0] = 1.0
+        with pytest.raises(ValueError):
+            v.parts[1][0] = 1.0
+        with pytest.raises(ValueError):
+            (v + v).to_flat()[:] += 1.0
 
     def test_dot_and_norm(self):
         dims = BlockDims((2, 1))
-        x = BlockVector(dims, ([1.0, 2.0], [3.0]))
-        y = BlockVector(dims, ([4.0, 5.0], [6.0]))
+        x = BlockVector.from_parts(dims, ([1.0, 2.0], [3.0]))
+        y = BlockVector.from_parts(dims, ([4.0, 5.0], [6.0]))
         assert x.dot(y) == 32.0
         assert x.norm() == pytest.approx(np.sqrt(14.0), rel=0, abs=1e-15)
 
@@ -79,14 +118,14 @@ class TestBlockVector:
     def test_shape_validation(self):
         dims = BlockDims((2, 1))
         with pytest.raises(DimensionMismatchError):
-            BlockVector(dims, ([1.0, 2.0],))
+            BlockVector.from_parts(dims, ([1.0, 2.0],))
         with pytest.raises(DimensionMismatchError):
-            BlockVector(dims, ([1.0, 2.0, 3.0], [4.0]))
+            BlockVector.from_parts(dims, ([1.0, 2.0, 3.0], [4.0]))
         with pytest.raises(DimensionMismatchError):
-            BlockVector.from_flat(dims, np.zeros(4))
+            BlockVector(dims, np.zeros(4))
         with pytest.raises(DimensionMismatchError):
-            x = BlockVector(dims, ([1.0, 2.0], [3.0]))
-            y = BlockVector(BlockDims((1, 2)), ([1.0], [2.0, 3.0]))
+            x = BlockVector.from_parts(dims, ([1.0, 2.0], [3.0]))
+            y = BlockVector.from_parts(BlockDims((1, 2)), ([1.0], [2.0, 3.0]))
             x.dot(y)
 
 
@@ -94,7 +133,7 @@ class TestBlockOperator:
     def test_identity_apply(self):
         dims = BlockDims((2, 1))
         I = BlockOperator.identity(dims)
-        x = BlockVector(dims, ([1.0, -2.0], [3.0]))
+        x = BlockVector.from_parts(dims, ([1.0, -2.0], [3.0]))
         np.testing.assert_array_equal(I.apply(x).to_flat(), x.to_flat())
         twoI = BlockOperator.identity(dims, scale=2.0)
         np.testing.assert_array_equal(twoI.apply(x).to_flat(), 2.0 * x.to_flat())
@@ -106,9 +145,10 @@ class TestBlockOperator:
 
     def test_norm_inf_matches_dense(self):
         rng = np.random.default_rng(33)
-        for _ in range(10):
-            M = random_symmetric(rng, random_dims(rng), sparse_fraction=0.5)
-            assert M.norm_inf() == pytest.approx(np.abs(M.to_dense()).sum(axis=1).max(), rel=1e-14)
+        for M in _oracle_cases(rng, sparse_fraction=0.5):
+            dense = _dense_oracle(M)
+            assert M.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-14)
+            assert M.absmax() == np.abs(dense).max()
         # a sparse block with an empty row
         M = BlockOperator(BlockDims((3,)), {(0, 0): sp.csr_array(np.array([[0.0, 0, 0], [1, -2, 0], [0, 0, 0.5]]))})
         assert M.norm_inf() == 3.0
@@ -125,12 +165,13 @@ class TestBlockOperator:
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            dims = random_dims(rng)
-            M = random_symmetric(rng, dims)
-            x = random_vector(rng, dims)
+        for M in _oracle_cases(rng):
+            dense = _dense_oracle(M)
+            np.testing.assert_array_equal(M.to_dense(), dense)
+            np.testing.assert_array_equal(M.to_sparse().toarray(), dense)
+            x = random_vector(rng, M.dims)
             got = M.apply(x).to_flat()
-            want = M.to_dense() @ x.to_flat()
+            want = dense @ x.to_flat()
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
     def test_transpose_and_sparse_agree_with_dense(self):
@@ -168,13 +209,13 @@ class TestBlockOperator:
             BlockOperator.from_dense(dims, np.zeros((2, 2)))
         with pytest.raises(DimensionMismatchError):
             M = BlockOperator.identity(dims)
-            M.apply(BlockVector(BlockDims((3,)), (np.zeros(3),)))
+            M.apply(BlockVector.from_parts(BlockDims((3,)), (np.zeros(3),)))
 
 
 class TestWeightedForms:
     def test_identity_weight_is_plain_dot(self):
         dims = BlockDims((2, 1))
-        ones = BlockVector(dims, ([1.0, 1.0], [1.0]))
+        ones = BlockVector.from_parts(dims, ([1.0, 1.0], [1.0]))
         assert weighted_inner(BlockOperator.identity(dims), ones, ones) == 3.0
         assert weighted_inner(BlockOperator.identity(dims, 2.0), ones, ones) == 6.0
 
@@ -196,7 +237,7 @@ class TestWeightedForms:
     def test_negative_form_raises(self):
         dims = BlockDims((2,))
         D = BlockOperator.identity(dims, -1.0)
-        x = BlockVector(dims, ([1.0, 0.0],))
+        x = BlockVector.from_parts(dims, ([1.0, 0.0],))
         with pytest.raises(CertificateError):
             weighted_norm(D, x)
 
@@ -394,7 +435,7 @@ class TestPropertyIdentities:
         rng = np.random.default_rng(seed)
         dims = random_dims(rng)
         flat = rng.standard_normal(dims.total)
-        v = BlockVector.from_flat(dims, flat)
+        v = BlockVector(dims, flat)
         np.testing.assert_array_equal(v.to_flat(), flat)
 
 

@@ -234,6 +234,26 @@ class TestRunCommand:
         assert exc_info.value.code == 2
 
 
+class TestProblemKind:
+    # coupled_diffusion and double_porosity share one builder; the kind only
+    # states which b table the config is meant to have
+    def test_coupled_requires_diagonal_b(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            MANUFACTURED_RUN.replace("kind = manufactured", "kind = coupled_diffusion\n    b = 1 0.2; 0.2 1"),
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "diagonal b" in capsys.readouterr().err
+
+    def test_porosity_requires_coupled_b(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            MANUFACTURED_RUN.replace("kind = manufactured", "kind = double_porosity\n    b = 1 0; 0 0.5"),
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "off-diagonal b" in capsys.readouterr().err
+
+
 CONVERGE_BASE = """\
     [problem]
     kind = manufactured
@@ -294,6 +314,16 @@ class TestConvergeCommand:
         config = write_config(tmp_path, CONVERGE_BASE.replace("taus = 1/4 1/8 1/16", "taus = 0.3 0.15"))
         assert main(["converge", "--config", config, "--out", str(tmp_path)]) == 2
         assert "does not divide" in capsys.readouterr().err
+
+    def test_sub_threshold_sigma_warns_once(self, tmp_path, caplog):
+        # one warning per command, not one per step size of the ladder
+        text = CONVERGE_BASE.replace("sigma = 0.5", "sigma = 0.25")
+        text = text.replace("taus = 1/4 1/8 1/16", "taus = 1/256 1/512 1/1024").replace("T = 1.0", "T = 1/16")
+        config = write_config(tmp_path, text)
+        with caplog.at_level(logging.WARNING, logger="splitstep"):
+            assert main(["converge", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+        warned = [rec for rec in caplog.records if "below the stability threshold" in rec.message]
+        assert len(warned) == 1 and "sigma=0.25" in warned[0].message
 
 
 STABILITY_WEIGHTED = """\
@@ -370,6 +400,13 @@ class TestStabilityCommand:
         config = write_config(tmp_path, STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.5 2"))
         assert main(["stability", "--config", config, "--out", str(tmp_path)]) == 2
         assert "[0, 1]" in capsys.readouterr().err
+
+    def test_sweep_logs_no_threshold_warning(self, tmp_path, caplog):
+        # sub-threshold cells are marked n/a(hypothesis) in the table instead
+        config = write_config(tmp_path, STABILITY_WEIGHTED)
+        with caplog.at_level(logging.WARNING, logger="splitstep"):
+            assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+        assert not [rec for rec in caplog.records if "stability threshold" in rec.message]
 
     def test_failure_wiring(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "SLACK_REL_TOL", -1e6)

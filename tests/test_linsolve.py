@@ -11,15 +11,19 @@ from splitstep import (
     BlockOperator,
     BlockVector,
     DiagFactorization,
+    EvolutionProblem,
     NotPositiveDefiniteError,
+    SchemeConfig,
     SolveFailureError,
     SpdFactor,
     factor_spd,
     laplacian_1d,
+    run,
     solve_block_lower,
     solve_block_upper,
     solve_spd_full,
     triangular_split,
+    zero_forcing,
 )
 from splitstep.blockops import SPARSE_MIN_ORDER, DimensionMismatchError
 from splitstep.linsolve import BlockStructureError
@@ -112,7 +116,7 @@ class TestTriangularSweeps:
         dims = BlockDims((1, 1))
         L = BlockOperator(dims, {(0, 0): [[1.0]], (1, 0): [[1.0]], (1, 1): [[1.0]]})
         diag = DiagFactorization.from_operator(L)
-        rhs = BlockVector(dims, ([1.0], [1.0]))
+        rhs = BlockVector.from_parts(dims, ([1.0], [1.0]))
         x = solve_block_lower(L, rhs, diag)
         np.testing.assert_allclose(x.to_flat(), [1.0, 0.0], atol=1e-15)
 
@@ -120,7 +124,7 @@ class TestTriangularSweeps:
         dims = BlockDims((1, 1))
         U = BlockOperator(dims, {(0, 0): [[1.0]], (0, 1): [[1.0]], (1, 1): [[1.0]]})
         diag = DiagFactorization.from_operator(U)
-        rhs = BlockVector(dims, ([1.0], [1.0]))
+        rhs = BlockVector.from_parts(dims, ([1.0], [1.0]))
         x = solve_block_upper(U, rhs, diag)
         np.testing.assert_allclose(x.to_flat(), [0.0, 1.0], atol=1e-15)
 
@@ -129,7 +133,7 @@ class TestTriangularSweeps:
         L = BlockOperator(dims, {(0, 0): [[1.0]], (1, 0): [[1.0]], (1, 1): [[1.0]]})
         U = L.transpose()
         diag = DiagFactorization.from_operator(L)
-        rhs = BlockVector(dims, ([1.0], [1.0]))
+        rhs = BlockVector.from_parts(dims, ([1.0], [1.0]))
         with pytest.raises(BlockStructureError):
             solve_block_lower(U, rhs, diag)
         with pytest.raises(BlockStructureError):
@@ -139,7 +143,7 @@ class TestTriangularSweeps:
         dims = BlockDims((1, 1))
         L = BlockOperator.identity(dims)
         diag = DiagFactorization.from_operator(L)
-        bad = BlockVector(BlockDims((2, 1)), ([1.0, 2.0], [3.0]))
+        bad = BlockVector.from_parts(BlockDims((2, 1)), ([1.0, 2.0], [3.0]))
         with pytest.raises(DimensionMismatchError):
             solve_block_lower(L, bad, diag)
         with pytest.raises(DimensionMismatchError):
@@ -218,6 +222,30 @@ class TestBandedPath:
             factor_spd(G, context="band block")
         assert exc_info.value.pivot == dense_info
 
+    @pytest.mark.parametrize("sizes", [(200,), (64, 64)])
+    def test_all_dense_equal_shaped_blocks(self, sizes):
+        # a grid of equal-shaped dense blocks once broke the sparse assembly
+        rng = np.random.default_rng(15)
+        dims = BlockDims(sizes)
+        S = _banded_spd(rng, dims.total, 2).toarray()
+        A = BlockOperator.from_dense(dims, S)
+        assert len(A.blocks) == dims.p**2 and not any(sp.issparse(blk) for blk in A.blocks.values())
+        rhs = rng.standard_normal(dims.total)
+        want = np.linalg.solve(S, rhs)
+        assert np.abs(factor_spd(A).solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+        # the weighted scheme factors B + sigma*tau*A through the same path
+        cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=3)
+        v0 = random_vector(rng, dims)
+        B = BlockOperator.identity(dims)
+        problem = EvolutionProblem(A=A, B=B, forcing=zero_forcing(dims), v0=v0, T=0.3)
+        y = v0.to_flat()
+        step = np.linalg.inv(np.eye(dims.total) + 0.05 * S) @ (np.eye(dims.total) - 0.05 * S)
+        for _ in range(3):
+            y = step @ y
+        got = run(problem, cfg).final_state.to_flat()
+        assert np.abs(got - y).max() <= 1e-12 * np.abs(y).max()
+
     def test_check_finite(self):
         factor = factor_spd(laplacian_1d(SPARSE_MIN_ORDER))
         rhs = np.ones(SPARSE_MIN_ORDER)
@@ -245,7 +273,7 @@ class TestFullSolve:
     def test_identity_returns_rhs(self):
         dims = BlockDims((2, 1))
         M = BlockOperator.identity(dims)
-        rhs = BlockVector(dims, ([1.0, 2.0], [3.0]))
+        rhs = BlockVector.from_parts(dims, ([1.0, 2.0], [3.0]))
         x = solve_spd_full(M, rhs)
         np.testing.assert_array_equal(x.to_flat(), rhs.to_flat())
 
@@ -278,14 +306,14 @@ class TestFullSolve:
         dims = BlockDims((2,))
         M = BlockOperator.identity(dims)
         wrong = factor_spd(2.0 * np.eye(2))
-        rhs = BlockVector(dims, ([1.0, 1.0],))
+        rhs = BlockVector.from_parts(dims, ([1.0, 1.0],))
         with pytest.raises(SolveFailureError, match="residual"):
             solve_spd_full(M, rhs, factor=wrong)
 
     def test_nan_fails_residual_check(self):
         dims = BlockDims((2,))
         M = BlockOperator.identity(dims)
-        rhs = BlockVector(dims, ([1.0, np.nan],))
+        rhs = BlockVector.from_parts(dims, ([1.0, np.nan],))
         with pytest.raises(SolveFailureError, match="residual nan"):
             solve_spd_full(M, rhs)
 
@@ -293,7 +321,7 @@ class TestFullSolve:
         # |M| = 4e8 at m = 10000: the residual of a correct solve is far
         # above 1e-11 |rhs| but its backward error is at rounding level
         M = BlockOperator(BlockDims((10_000,)), {(0, 0): laplacian_1d(10_000)})
-        rhs = BlockVector(M.dims, (np.ones(10_000),))
+        rhs = BlockVector.from_parts(M.dims, (np.ones(10_000),))
         x = solve_spd_full(M, rhs)
         assert (M.apply(x) - rhs).norm() > 1e-11 * rhs.norm()
 

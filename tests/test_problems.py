@@ -7,7 +7,6 @@ from splitstep import (
     DiffusionSpec,
     ExponentialSumForcing,
     build_coupled_diffusion,
-    build_double_porosity,
     example_coupled_spec,
     example_porosity_spec,
     laplacian_1d,
@@ -113,14 +112,6 @@ class TestSineProfile:
 
 
 class TestBuilders:
-    def test_coupled_requires_diagonal_b(self):
-        with pytest.raises(ValueError, match="diagonal b"):
-            build_coupled_diffusion(example_porosity_spec())
-
-    def test_porosity_requires_coupled_b(self):
-        with pytest.raises(ValueError, match="off-diagonal b"):
-            build_double_porosity(example_coupled_spec())
-
     def test_coupled_defaults(self):
         prob = build_coupled_diffusion(example_coupled_spec(p=2, m=9), T=2.0)
         assert prob.T == 2.0
@@ -131,7 +122,7 @@ class TestBuilders:
         )
 
     def test_porosity_has_coupled_mass(self):
-        prob = build_double_porosity(example_porosity_spec(p=2, m=9))
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=9))
         assert not prob.B.is_block_diagonal()
 
     @pytest.mark.parametrize("p", [2, 3])
