@@ -14,8 +14,6 @@ from .blockops import (
     BlockVector,
     CertificateError,
     DimensionMismatchError,
-    EigenConvergenceError,
-    OperatorCertificate,
     TriangularPair,
     certify,
     lincomb,

@@ -8,7 +8,9 @@ acts as an exact zero.  Blocks may be dense ndarrays or CSR sparse arrays.
 The schemes only ever invert the diagonal blocks, which is why the blockwise
 storage is kept explicit; everything that acts on the whole space
 (``apply``, norms, densification) goes through one CSR matrix that each
-operator assembles once.
+operator assembles once.  ``certify`` checks the symmetric positive
+definiteness the schemes assume: a blockwise symmetry check and a Cholesky
+factorization that succeeds, at every size.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh
 
 
 class DimensionMismatchError(ValueError):
@@ -30,14 +30,6 @@ class DimensionMismatchError(ValueError):
 
 class CertificateError(ValueError):
     """A claimed operator property (symmetry, positive definiteness) fails."""
-
-
-class EigenConvergenceError(RuntimeError):
-    """Iterative smallest-eigenvalue estimation did not converge."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 # Blocks and matrices of this order and above are kept sparse and factored
@@ -302,16 +294,6 @@ class BlockOperator:
 
 
 @dataclass(frozen=True)
-class OperatorCertificate:
-    """Result of checking symmetry and positive definiteness."""
-
-    symmetric: bool
-    positive_definite: bool
-    min_eig_estimate: float
-    tol_sym: float
-
-
-@dataclass(frozen=True)
 class TriangularPair:
     """Two-part splitting M = lower + upper with transpose(lower) = upper.
 
@@ -390,7 +372,8 @@ def symmetry_defect(M: BlockOperator) -> float:
 def _require_symmetric(M: BlockOperator, tol_sym: float, context: str):
     defect = symmetry_defect(M)
     scale = M.absmax()
-    if defect > tol_sym * max(scale, 1e-300):
+    # written so that a NaN defect or scale fails the check too
+    if not defect <= tol_sym * max(scale, 1e-300):
         raise CertificateError(
             f"{context}: operator is not symmetric (defect {defect:.3e}, scale {scale:.3e})"
         )
@@ -419,58 +402,24 @@ def triangular_split(M: BlockOperator, tol_sym: float = 1e-12) -> TriangularPair
     return TriangularPair(BlockOperator(dims, lower), BlockOperator(dims, upper))
 
 
-def certify(
-    M: BlockOperator,
-    tol_sym: float = 1e-12,
-    *,
-    dense_threshold: int = 2000,
-    power_tol: float = 1e-12,
-    power_maxiter: int = 1000,
-) -> OperatorCertificate:
-    """Check symmetry and estimate the smallest eigenvalue.
+def certify(M: BlockOperator, tol_sym: float = 1e-12, context: str = "operator") -> None:
+    """Certify that M is symmetric positive definite, or raise ``CertificateError``.
 
-    Small systems (total dimension up to ``dense_threshold``) use a dense
-    symmetric eigensolve; larger ones fall back to inverse power iteration on
-    a shifted sparse factorization, with the shift taken safely below the
-    Gershgorin lower bound.
+    Symmetry is checked blockwise against ``tol_sym`` times the largest
+    entry.  Positive definiteness is certified by a Cholesky factorization
+    that succeeds, the same ``linsolve.factor_spd`` the schemes use (dense
+    below ``SPARSE_MIN_ORDER``, banded above), so the check costs O(N) for
+    banded operators at every size.  A failure names ``context`` and gives
+    either the symmetry defect or the first non-positive leading minor.
     """
-    defect = symmetry_defect(M)
-    scale = M.absmax()
-    symmetric = defect <= tol_sym * max(scale, 1e-300)
-    if not symmetric:
-        return OperatorCertificate(False, False, float("nan"), tol_sym)
-    if M.dims.total <= dense_threshold:
-        dense = M.to_dense()
-        min_eig = float(eigvalsh(0.5 * (dense + dense.T))[0])
-    else:
-        min_eig = _min_eig_inverse_power(M, tol=power_tol, maxiter=power_maxiter)
-    return OperatorCertificate(True, min_eig > 0.0, min_eig, tol_sym)
+    # imported here: linsolve imports this module
+    from .linsolve import NotPositiveDefiniteError, factor_spd
 
-
-def _min_eig_inverse_power(M: BlockOperator, tol: float, maxiter: int) -> float:
-    S = M.to_sparse().tocsr()
-    n = M.dims.total
-    diag = S.diagonal()
-    row_abs = np.abs(S).sum(axis=1)
-    gersh = float(np.min(diag - (row_abs - np.abs(diag))))
-    # hug the Gershgorin bound: a tiny gap keeps the shifted solve definite
-    # while leaving the target eigenvalue well separated for the iteration
-    shift = gersh - max(1e-10, 1e-8 * M.absmax())
-    lu = spla.splu(sp.csc_matrix(S - shift * sp.identity(n, format="csc")))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    theta = float(v @ (S @ v))
-    for it in range(1, maxiter + 1):
-        v = lu.solve(v)
-        v /= np.linalg.norm(v)
-        theta_new = float(v @ (S @ v))
-        if abs(theta_new - theta) <= tol * max(1.0, abs(theta_new)):
-            return theta_new
-        theta = theta_new
-    raise EigenConvergenceError(
-        f"inverse power iteration did not converge in {maxiter} iterations", iterations=maxiter
-    )
+    _require_symmetric(M, tol_sym, context)
+    try:
+        factor_spd(M, context=context)
+    except NotPositiveDefiniteError as err:
+        raise CertificateError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------

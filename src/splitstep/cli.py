@@ -199,13 +199,8 @@ def _matrix_files_problem(cp, config_dir: str, T: float) -> EvolutionProblem:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"[problem]: {err}") from err
-    for name, op in (("A", A), ("B", B)):
-        cert = certify(op)
-        if not (cert.symmetric and cert.positive_definite):
-            raise ConfigError(
-                f"[problem]: operator {name} from manifest is not symmetric positive definite "
-                f"(min eig estimate {cert.min_eig_estimate:.6e})"
-            )
+    certify(A, context="[problem] operator A from manifest")
+    certify(B, context="[problem] operator B from manifest")
     v0_file = _get(cp, "problem", "v0_file")
     if v0_file is not None:
         v0 = read_block_vector(_resolve(config_dir, v0_file), A.dims)
@@ -359,6 +354,9 @@ def cmd_converge(args, cp, config_dir: str) -> int:
     base = _make_config(kind, sigma, max(taus), 1, epsilon)
     try:
         report = convergence_study(problem, base, taus)
+    except (RunStepError, SolveFailureError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except ValueError as err:
         raise ConfigError(f"[scheme] taus: {err}") from err
 
@@ -392,9 +390,6 @@ def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
         # not through _make_config: the sweep probes out-of-hypothesis cells
         # on purpose and marks them in its table rather than warning
         cfg = SchemeConfig(kind=kind, sigma=sigma, tau=tau, n_steps=n_steps, epsilon=epsilon)
-        r_eig = None
-        if kind is SchemeKind.THREE_LEVEL:
-            r_eig = ThreeLevelEstimate(problem, cfg).diff_weight_min_eig()
         observer = EnergyObserver() if kind is SchemeKind.THREE_LEVEL else EstimateObserver()
         min_slack = None
         scale = 1.0
@@ -408,6 +403,10 @@ def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
             min_slack = None
         except (RunStepError, SolveFailureError):
             failed = True
+        r_eig = None
+        if kind is SchemeKind.THREE_LEVEL:
+            # the observer's, unless the run broke in its startup step before building it
+            r_eig = (observer.estimate or ThreeLevelEstimate(problem, cfg)).diff_weight_min_eig()
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"
     elif failed or min_slack is None or not np.isfinite(min_slack):
@@ -461,6 +460,9 @@ def cmd_compare(args, cp, config_dir: str) -> int:
     base = _make_config(SchemeKind.WEIGHTED, sigma, max(taus), 1, epsilon)
     try:
         report = compare_schemes(problem, base, taus)
+    except (RunStepError, SolveFailureError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except SchemeInapplicableError as err:
         raise ConfigError(f"[problem]: {err}") from err
     except ValueError as err:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blockops import BlockDims, BlockOperator, BlockVector, CertificateError, certify
+from .blockops import BlockDims, BlockOperator, BlockVector, certify
 from .schemes import EvolutionProblem, ExponentialSumForcing, zero_forcing
 
 
@@ -99,13 +99,8 @@ def assemble_operators(spec: DiffusionSpec) -> tuple[BlockOperator, BlockOperato
                 b_blocks[(a, b)] = spec.b[a, b] * eye
     A = BlockOperator(spec.dims, a_blocks)
     B = BlockOperator(spec.dims, b_blocks)
-    for name, op in (("A", A), ("B", B)):
-        cert = certify(op)
-        if not (cert.symmetric and cert.positive_definite):
-            raise CertificateError(
-                f"assembled {name} is not symmetric positive definite "
-                f"(min eig estimate {cert.min_eig_estimate:.6e})"
-            )
+    certify(A, context="assembled A")
+    certify(B, context="assembled B")
     return A, B
 
 

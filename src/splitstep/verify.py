@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh
 
-from .blockops import BlockOperator, BlockVector, CertificateError, triangular_split, weighted_norm
+from .blockops import BlockVector, CertificateError, triangular_split, weighted_norm
 from .linsolve import factor_spd
 from .schemes import (
     EvolutionProblem,
@@ -64,7 +64,6 @@ class EnergyRecord:
 
     n: int
     t: float
-    norm_a: float
     energy: Optional[float]
     bound_rhs: float
     slack: float
@@ -203,55 +202,55 @@ def factorized_operator_psd_margin(problem: EvolutionProblem, cfg: SchemeConfig)
 
 
 class EstimateObserver(RunObserver):
-    """Attaches the two-level slack to every transition of a run."""
+    """Attaches the two-level slack to every transition of a run.
+
+    ``estimate`` is the ``TwoLevelEstimate`` built by ``initial``.
+    """
 
     def __init__(self):
         self.records: list[EnergyRecord] = []
         self.min_slack = math.inf
-        self._estimate: Optional[TwoLevelEstimate] = None
-        self._a: Optional[BlockOperator] = None
+        self.estimate: Optional[TwoLevelEstimate] = None
 
     def initial(self, problem, cfg, state):
-        self._estimate = TwoLevelEstimate(problem, cfg)
-        self._a = problem.A
+        self.estimate = TwoLevelEstimate(problem, cfg)
         return {}
 
     def transition(self, problem, cfg, prev, new, phi):
-        est = self._estimate
+        est = self.estimate
         bound = est.bound_rhs(prev.y, phi)
         slack = bound - est.value(new.y)
         self.min_slack = min(self.min_slack, slack)
-        self.records.append(
-            EnergyRecord(new.n, new.t, weighted_norm(self._a, new.y), None, bound, slack)
-        )
+        self.records.append(EnergyRecord(new.n, new.t, None, bound, slack))
         return {"slack": slack}
 
 
 class EnergyObserver(RunObserver):
-    """Attaches the three-level energy and its slack to every transition."""
+    """Attaches the three-level energy and its slack to every transition.
+
+    ``estimate`` is the ``ThreeLevelEstimate`` built by ``initial``; callers
+    read the difference weight's smallest eigenvalue from it rather than
+    assembling the estimate a second time.
+    """
 
     def __init__(self):
         self.records: list[EnergyRecord] = []
         self.min_slack = math.inf
         self.initial_energy: Optional[float] = None
-        self._estimate: Optional[ThreeLevelEstimate] = None
-        self._a: Optional[BlockOperator] = None
+        self.estimate: Optional[ThreeLevelEstimate] = None
 
     def initial(self, problem, cfg, state):
-        self._estimate = ThreeLevelEstimate(problem, cfg)
-        self._a = problem.A
-        self.initial_energy = self._estimate.energy(state.y, state.y_prev)
+        self.estimate = ThreeLevelEstimate(problem, cfg)
+        self.initial_energy = self.estimate.energy(state.y, state.y_prev)
         return {"energy": self.initial_energy}
 
     def transition(self, problem, cfg, prev, new, phi):
-        est = self._estimate
+        est = self.estimate
         energy_new = est.energy(new.y, new.y_prev)
         bound = est.energy(prev.y, prev.y_prev) + est.forcing_term(phi)
         slack = bound - energy_new
         self.min_slack = min(self.min_slack, slack)
-        self.records.append(
-            EnergyRecord(new.n, new.t, weighted_norm(self._a, new.y), energy_new, bound, slack)
-        )
+        self.records.append(EnergyRecord(new.n, new.t, energy_new, bound, slack))
         return {"energy": energy_new, "slack": slack}
 
 

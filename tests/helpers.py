@@ -9,8 +9,6 @@ from splitstep import (
     BlockVector,
     EvolutionProblem,
     ExponentialSumForcing,
-    laplacian_1d,
-    sine_profile,
 )
 
 
@@ -99,24 +97,3 @@ def scalar_problem(a=2.0, b=1.0, v0=1.0, forcing=None, T=1.0) -> EvolutionProble
         v0=BlockVector.from_parts(dims, ([v0],)),
         T=T,
     )
-
-
-def uncertified_grid_problem(spec) -> tuple[EvolutionProblem, BlockVector]:
-    """Manufactured problem exp(-t) * sine profile on a model grid, assembled
-    without ``certify`` so that it can go beyond the sizes certify accepts.
-
-    Returns the problem and the profile; the exact solution is
-    exp(-t) * profile.
-    """
-    lap = laplacian_1d(spec.m)
-    eye = sp.identity(spec.m, format="csr")
-    pairs = [(a, b) for a in range(spec.p) for b in range(spec.p)]
-    A = BlockOperator(
-        spec.dims,
-        {(a, b): spec.k[a, b] * lap + spec.r[a, b] * eye for a, b in pairs if spec.k[a, b] or spec.r[a, b]},
-    )
-    B = BlockOperator(spec.dims, {(a, b): spec.b[a, b] * eye for a, b in pairs if spec.b[a, b]})
-    profile = sine_profile(spec)
-    drive = A.apply(profile) - B.apply(profile)
-    forcing = ExponentialSumForcing(spec.dims, ((-1.0, drive),))
-    return EvolutionProblem(A=A, B=B, forcing=forcing, v0=profile, T=1.0), profile

@@ -9,7 +9,6 @@ from splitstep import (
     BlockVector,
     CertificateError,
     DimensionMismatchError,
-    EigenConvergenceError,
     certify,
     laplacian_1d,
     laplacian_min_eig,
@@ -344,65 +343,86 @@ class TestTriangularSplit:
         assert np.abs(adj).max() <= 1e-14 * scale
 
 
+def _shifted_to_min_eig(M: BlockOperator, target: float) -> BlockOperator:
+    """M plus a multiple of the identity that moves its smallest eigenvalue to target."""
+    shift = target - np.linalg.eigvalsh(M.to_dense())[0]
+    return lincomb(1.0, M, shift, BlockOperator.identity(M.dims))
+
+
 class TestCertify:
     def test_diagonal_example(self):
         dims = BlockDims((3,))
-        M = BlockOperator(dims, {(0, 0): np.diag([1.0, 2.0, 3.0])})
-        cert = certify(M)
-        assert cert.symmetric and cert.positive_definite
-        assert cert.min_eig_estimate == pytest.approx(1.0, abs=1e-12)
+        assert certify(BlockOperator(dims, {(0, 0): np.diag([1.0, 2.0, 3.0])})) is None
 
     def test_antisymmetric_is_flagged(self):
         dims = BlockDims((1, 1))
         M = BlockOperator(dims, {(0, 1): [[1.0]], (1, 0): [[-1.0]]})
-        cert = certify(M)
-        assert not cert.symmetric
-        assert not cert.positive_definite
-        assert np.isnan(cert.min_eig_estimate)
+        with pytest.raises(CertificateError, match=r"^M: operator is not symmetric \(defect 2\.000e\+00"):
+            certify(M, context="M")
+
+    def test_nan_entry_is_rejected(self):
+        dims = BlockDims((2,))
+        M = BlockOperator(dims, {(0, 0): [[1.0, np.nan], [0.0, 1.0]]})
+        with pytest.raises(CertificateError, match="not symmetric"):
+            certify(M)
 
     def test_indefinite_min_eig(self):
+        # smallest eigenvalue -1: the second leading minor is the first negative one
         dims = BlockDims((2,))
         M = BlockOperator(dims, {(0, 0): np.diag([1.0, -1.0])})
-        cert = certify(M)
-        assert cert.symmetric
-        assert not cert.positive_definite
-        assert cert.min_eig_estimate == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(CertificateError, match="^operator: not positive definite, leading minor 2 "):
+            certify(M)
+
+    @pytest.mark.parametrize("n, negative", [(4, 2), (SPARSE_MIN_ORDER + 72, 150)])
+    def test_indefinite_names_leading_minor(self, n, negative):
+        # dense below the crossover, banded above it
+        diag = np.ones(n)
+        diag[negative] = -1.0
+        M = BlockOperator(BlockDims((n,)), {(0, 0): sp.csr_array(sp.diags_array(diag))})
+        with pytest.raises(CertificateError, match=rf"^B: not positive definite, leading minor {negative + 1} ") as info:
+            certify(M, context="B")
+        assert info.value.__cause__.pivot == negative + 1
 
     def test_laplacian_matches_closed_form(self):
-        m = 9
-        dims = BlockDims((m,))
-        M = BlockOperator(dims, {(0, 0): laplacian_1d(m)})
-        cert = certify(M)
-        assert cert.positive_definite
-        assert cert.min_eig_estimate == pytest.approx(laplacian_min_eig(m), rel=1e-10)
+        # L - s I is certified exactly when s is below the smallest
+        # eigenvalue; dense at m = 9, banded at m = 2000
+        for m in (9, 2000):
+            lap = BlockOperator(BlockDims((m,)), {(0, 0): laplacian_1d(m)})
+            lam = laplacian_min_eig(m)
+            certify(lap)
+            certify(lincomb(1.0, lap, -0.99 * lam, BlockOperator.identity(lap.dims)))
+            with pytest.raises(CertificateError, match="leading minor"):
+                certify(lincomb(1.0, lap, -1.01 * lam, BlockOperator.identity(lap.dims)))
 
-    def test_iterative_path_agrees_with_dense(self):
-        # same operator through both code paths by moving the threshold
-        m = 50
-        dims = BlockDims((m, 2))
-        M = BlockOperator(dims, {(0, 0): laplacian_1d(m), (1, 1): 2.0 * np.eye(2)})
-        dense_cert = certify(M)
-        iter_cert = certify(M, dense_threshold=10)
-        assert dense_cert.min_eig_estimate == pytest.approx(2.0, abs=1e-10)
-        assert iter_cert.min_eig_estimate == pytest.approx(dense_cert.min_eig_estimate, rel=1e-8)
-
-    def test_large_system_takes_iterative_path(self):
+    def test_large_system_is_certified(self):
+        # banded, and the negative shift first bites at the second component
         m = 1999
         dims = BlockDims((m, 2))
         M = BlockOperator(dims, {(0, 0): laplacian_1d(m), (1, 1): 2.0 * np.eye(2)})
         assert dims.total > 2000
-        cert = certify(M)
-        # identity block sits below the stiff band's first eigenvalue
-        assert cert.min_eig_estimate == pytest.approx(2.0, abs=1e-8)
-        assert cert.positive_definite
+        certify(M)
+        with pytest.raises(CertificateError, match=f"leading minor {m + 1} "):
+            certify(lincomb(1.0, M, -2.5, BlockOperator.identity(dims)))
 
-    def test_iteration_budget_exhaustion(self):
-        m = 50
-        dims = BlockDims((m,))
-        M = BlockOperator(dims, {(0, 0): laplacian_1d(m)})
-        with pytest.raises(EigenConvergenceError) as exc_info:
-            certify(M, dense_threshold=10, power_maxiter=1)
-        assert exc_info.value.iterations == 1
+    @given(seeds, st.booleans(), st.booleans())
+    def test_accepts_exactly_the_positive_definite(self, seed, large, positive):
+        # dense eigvalsh is the oracle; the smallest eigenvalue is put at
+        # +-1e-3 of the spectral radius, well clear of rounding
+        rng = np.random.default_rng(seed)
+        if large:
+            dims = random_dims(rng, p_choices=(2, 3), size_range=(SPARSE_MIN_ORDER // 2, SPARSE_MIN_ORDER + 40))
+            assert dims.total >= SPARSE_MIN_ORDER
+        else:
+            dims = random_dims(rng)
+        M = random_symmetric(rng, dims)
+        radius = max(float(np.abs(np.linalg.eigvalsh(M.to_dense())).max()), 1.0)
+        M = _shifted_to_min_eig(M, (1e-3 if positive else -1e-3) * radius)
+        assert (np.linalg.eigvalsh(M.to_dense())[0] > 0.0) == positive
+        if positive:
+            certify(M)
+        else:
+            with pytest.raises(CertificateError, match="leading minor"):
+                certify(M)
 
 
 class TestPropertyIdentities:

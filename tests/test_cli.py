@@ -253,6 +253,18 @@ class TestProblemKind:
         assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
         assert "off-diagonal b" in capsys.readouterr().err
 
+    def test_coupled_diffusion_above_n2000(self, tmp_path):
+        # N = 2046: certify has no size limit
+        config = write_config(
+            tmp_path,
+            MANUFACTURED_RUN.replace("kind = manufactured", "kind = coupled_diffusion")
+            .replace("m = 9", "m = 1023")
+            .replace("tau = 1/64", "tau = 1/8"),
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+        _, rows = read_csv(tmp_path / "run.csv")
+        assert len(rows) == 9 and all(row[4] != "" for row in rows[1:])
+
 
 CONVERGE_BASE = """\
     [problem]
@@ -265,6 +277,21 @@ CONVERGE_BASE = """\
     sigma = 0.5
     taus = 1/4 1/8 1/16
     T = 1.0
+"""
+
+
+# explicit stepping far past its stability limit: the state overflows at step 88
+DIVERGING_LADDER = """\
+    [problem]
+    kind = manufactured
+    p = 2
+    m = 31
+
+    [scheme]
+    kind = weighted
+    sigma = 0
+    taus = 1 1/2
+    T = 200
 """
 
 
@@ -325,6 +352,14 @@ class TestConvergeCommand:
         warned = [rec for rec in caplog.records if "below the stability threshold" in rec.message]
         assert len(warned) == 1 and "sigma=0.25" in warned[0].message
 
+    def test_diverging_ladder_is_one_error_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, DIVERGING_LADDER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["converge", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition 87 -> 88 failed") and err.count("\n") == 1
+        assert not (tmp_path / "converge.csv").exists()
+
 
 STABILITY_WEIGHTED = """\
     [problem]
@@ -337,6 +372,22 @@ STABILITY_WEIGHTED = """\
     sigmas = 0 0.25 0.5 1
     taus = 0.01 0.1
     n_steps = 20
+    T = 1.0
+"""
+
+
+STABILITY_THREE_LEVEL = """\
+    [problem]
+    kind = double_porosity
+    p = 2
+    m = 9
+
+    [scheme]
+    kind = three_level
+    sigmas = 0.5 1.0
+    taus = 0.01 0.1
+    n_steps = 20
+    epsilon = 1.0
     T = 1.0
 """
 
@@ -361,23 +412,7 @@ class TestStabilityCommand:
 
     def test_three_level_sweep_reports_diff_weight(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPLITSTEP_THREADS", "1")
-        config = write_config(
-            tmp_path,
-            """\
-            [problem]
-            kind = double_porosity
-            p = 2
-            m = 9
-
-            [scheme]
-            kind = three_level
-            sigmas = 0.5 1.0
-            taus = 0.01 0.1
-            n_steps = 20
-            epsilon = 1.0
-            T = 1.0
-            """,
-        )
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL)
         assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
         _, rows = read_csv(tmp_path / "stability.csv")
         assert len(rows) == 4
@@ -387,6 +422,23 @@ class TestStabilityCommand:
             if float(row[0]) >= 1.0:
                 assert float(row[4]) > 0.0
                 assert float(row[3]) >= -1e-10
+
+    def test_three_level_estimate_built_once_per_cell(self, tmp_path, monkeypatch):
+        # the r_min_eig column reads the observer's estimate, not a second one
+        monkeypatch.setenv("SPLITSTEP_THREADS", "1")
+        built = []
+        real_init = splitstep.verify.ThreeLevelEstimate.__init__
+
+        def counting_init(self, problem, cfg):
+            built.append((cfg.sigma, cfg.tau))
+            real_init(self, problem, cfg)
+
+        monkeypatch.setattr(splitstep.verify.ThreeLevelEstimate, "__init__", counting_init)
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL)
+        assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+        assert sorted(built) == [(0.5, 0.01), (0.5, 0.1), (1.0, 0.01), (1.0, 0.1)]
+        _, rows = read_csv(tmp_path / "stability.csv")
+        assert all(row[4] != "" for row in rows)
 
     def test_thread_env_validation(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, STABILITY_WEIGHTED)
@@ -461,6 +513,14 @@ class TestCompareCommand:
     def test_single_tau_rejected(self, tmp_path):
         config = write_config(tmp_path, COMPARE_BASE.replace("taus = 1/4 1/8 1/16", "taus = 1/4"))
         assert main(["compare", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+
+    def test_diverging_ladder_is_one_error_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, DIVERGING_LADDER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compare", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition 87 -> 88 failed") and err.count("\n") == 1
+        assert not (tmp_path / "compare.csv").exists()
 
 
 class TestMatrixFilesProblem:
@@ -544,7 +604,8 @@ class TestMatrixFilesProblem:
             """,
         )
         assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
-        assert "min eig" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[problem] operator A from manifest: not positive definite, leading minor 2 " in err
 
     def test_missing_manifest_file(self, tmp_path, capsys):
         config = write_config(

@@ -86,7 +86,8 @@ class TestAssembly:
         spec = DiffusionSpec(
             p=2, m=5, k=[[1.0, 2.0], [2.0, 1.0]], r=np.zeros((2, 2)), b=np.eye(2)
         )
-        with pytest.raises(CertificateError, match="min eig"):
+        # the second component's first pivot is the Schur complement L - 4 L = -3 L
+        with pytest.raises(CertificateError, match=r"^assembled A: not positive definite, leading minor 6 "):
             assemble_operators(spec)
 
 
@@ -131,6 +132,17 @@ class TestBuilders:
             A, B = assemble_operators(spec)
             assert A.dims.sizes == (9,) * p
             assert B.dims.sizes == (9,) * p
+
+    def test_coupled_example_certifies_above_n2000(self):
+        prob = build_coupled_diffusion(example_coupled_spec(2, 1023))
+        assert prob.dims.total == 2046
+
+    def test_indefinite_coupling_is_rejected_at_m65535(self):
+        spec = DiffusionSpec(
+            p=2, m=65_535, k=[[1.0, 2.0], [2.0, 1.0]], r=np.zeros((2, 2)), b=np.eye(2)
+        )
+        with pytest.raises(CertificateError, match="^assembled A: not positive definite, leading minor"):
+            assemble_operators(spec)
 
 
 class TestManufactured:

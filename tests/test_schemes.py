@@ -44,7 +44,6 @@ from helpers import (
     random_spd,
     random_vector,
     scalar_problem,
-    uncertified_grid_problem,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -432,7 +431,7 @@ class TestBandedSchemes:
 
     def test_identity_blocks_follow_the_crossover(self):
         for m, sparse in ((31, False), (SPARSE_MIN_ORDER, True)):
-            prob, _ = uncertified_grid_problem(example_porosity_spec(p=2, m=m))
+            prob = manufactured_problem(example_porosity_spec(p=2, m=m)).problem
             ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
             for op in (ws.c1_plus, ws.c2_plus, ws.c1_minus, ws.c2_minus):
                 assert all(sp.issparse(op.block(a, a)) == sparse for a in range(2))
@@ -460,12 +459,14 @@ class TestBandedSchemes:
         ],
     )
     def test_eight_steps_at_m65535(self, kind, sigma, spec, bound):
-        prob, profile = uncertified_grid_problem(spec(p=2, m=65_535))
+        # certified at construction: certify has no size ceiling
+        manu = manufactured_problem(spec(p=2, m=65_535))
+        prob = manu.problem
         cfg = SchemeConfig(kind, sigma=sigma, tau=1.0 / 8, n_steps=8)
         log = run(prob, cfg)
         assert len(log.records) == 9
         assert all(np.isfinite(rec.norm_a) for rec in log.records)
-        exact = float(np.exp(-1.0)) * profile
+        exact = manu.exact(1.0)
         error = weighted_norm(prob.A, log.final_state - exact) / weighted_norm(prob.A, exact)
         assert error <= bound
         ws = prepare(prob, cfg)
