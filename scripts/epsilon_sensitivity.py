@@ -43,7 +43,7 @@ def main():
         report = convergence_study(manu.problem, cfg, taus)
         observer = EnergyObserver()
         run(manu.problem, cfg, observers=(observer,), keep_states=False)
-        r_eig = observer.estimate.diff_weight_min_eig()
+        r_eig = observer.diff_weight_min_eig()
         print(
             f"{eps:>8.3f} {report.rows[-1].error_a:>14.6e} {report.finest_order:>7.3f} "
             f"{r_eig:>12.4e} {observer.min_slack:>12.4e}"

@@ -72,19 +72,15 @@ from .verify import (
     CompareReport,
     ConvergenceReport,
     EnergyObserver,
-    EnergyRecord,
     EstimateObserver,
-    ThreeLevelEstimate,
-    TwoLevelEstimate,
     UnsupportedForcingError,
     compare_schemes,
     convergence_study,
     factorized_operator_identity_error,
     factorized_operator_psd_margin,
     reference_solution,
-    three_level_run_slacks,
+    run_slacks,
     tiny_step_reference,
-    two_level_run_slacks,
 )
 
 __version__ = "0.1.0"

@@ -9,17 +9,19 @@ Four subcommands, each driven by an INI config file:
 
 Exit code 0 means every asserted check passed, 1 means a check failed or a
 run broke down, 2 means the configuration or problem data were invalid.
-The ``SPLITSTEP_THREADS`` environment variable caps sweep parallelism.
+A run that breaks down (``RunStepError`` or ``SolveFailureError``) ends the
+command with one ``error:`` line, except in ``stability``, which marks the
+cell ``fail`` and goes on.  The sweep runs its cells one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,6 @@ from .blockops import (
     certify,
     read_block_operator,
     read_block_vector,
-    weighted_inner,
 )
 from .linsolve import NotPositiveDefiniteError, SolveFailureError
 from .problems import (
@@ -53,7 +54,6 @@ from .schemes import (
 from .verify import (
     EnergyObserver,
     EstimateObserver,
-    ThreeLevelEstimate,
     compare_schemes,
     convergence_study,
 )
@@ -126,19 +126,6 @@ def _require(cp, section: str, key: str) -> str:
     if value is None:
         raise ConfigError(f"[{section}] {key} is required")
     return value
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SPLITSTEP_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"SPLITSTEP_THREADS={raw!r} is not an integer") from err
-    if n < 1:
-        raise ConfigError(f"SPLITSTEP_THREADS={n} must be at least 1")
-    return n
 
 
 def _diffusion_spec(cp, kind: str) -> DiffusionSpec:
@@ -309,11 +296,7 @@ def cmd_run(args, cp, config_dir: str) -> int:
             observer = EnergyObserver()
         elif cfg.in_hypothesis:
             observer = EstimateObserver()
-    try:
-        log = run(problem, cfg, observers=(observer,) if observer else (), keep_states=False)
-    except (RunStepError, SolveFailureError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    log = run(problem, cfg, observers=(observer,) if observer else (), keep_states=False)
 
     rows = [
         [rec.n, rec.t, rec.norm_a, rec.extras.get("energy"), rec.extras.get("slack")]
@@ -327,8 +310,7 @@ def cmd_run(args, cp, config_dir: str) -> int:
     _say(args, f"final: t={final.t:.17g} norm_a={final.norm_a:.17g}")
     status = 0
     if observer is not None and cfg.in_hypothesis:
-        scale = _slack_scale(problem, observer)
-        ok = observer.min_slack >= -SLACK_REL_TOL * scale
+        ok = observer.min_slack >= -SLACK_REL_TOL * max(observer.initial_energy, 1e-300)
         _say(args, f"min slack={observer.min_slack:.6e} ({'ok' if ok else 'VIOLATED'})")
         if not ok:
             status = 1
@@ -336,12 +318,6 @@ def cmd_run(args, cp, config_dir: str) -> int:
         _say(args, "min slack=n/a")
     _say(args, f"wrote {path}")
     return status
-
-
-def _slack_scale(problem: EvolutionProblem, observer) -> float:
-    if isinstance(observer, EnergyObserver):
-        return max(observer.initial_energy or 0.0, 1e-300)
-    return max(weighted_inner(problem.A, problem.v0, problem.v0), 1e-300)
 
 
 def cmd_converge(args, cp, config_dir: str) -> int:
@@ -354,9 +330,6 @@ def cmd_converge(args, cp, config_dir: str) -> int:
     base = _make_config(kind, sigma, max(taus), 1, epsilon)
     try:
         report = convergence_study(problem, base, taus)
-    except (RunStepError, SolveFailureError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except ValueError as err:
         raise ConfigError(f"[scheme] taus: {err}") from err
 
@@ -397,7 +370,7 @@ def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
         try:
             run(problem, cfg, observers=(observer,), keep_states=False)
             min_slack = observer.min_slack
-            scale = _slack_scale(problem, observer)
+            scale = max(observer.initial_energy, 1e-300)
         except NotPositiveDefiniteError:
             # estimate weight indefinite out of hypothesis; nothing to measure
             min_slack = None
@@ -405,8 +378,10 @@ def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
             failed = True
         r_eig = None
         if kind is SchemeKind.THREE_LEVEL:
-            # the observer's, unless the run broke in its startup step before building it
-            r_eig = (observer.estimate or ThreeLevelEstimate(problem, cfg)).diff_weight_min_eig()
+            if observer.initial_energy is None:
+                # the run broke in its startup step, before initial assembled R
+                observer.assemble(problem, cfg)
+            r_eig = observer.diff_weight_min_eig()
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"
     elif failed or min_slack is None or not np.isfinite(min_slack):
@@ -428,18 +403,11 @@ def cmd_stability(args, cp, config_dir: str) -> int:
     for s in sigmas:
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"[scheme] sigmas: sigma={s} outside the admitted range [0, 1]")
-    cells = [(s, t) for s in sigmas for t in taus]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(
-            pool.map(
-                lambda cell: _stability_cell(problem, kind, cell[0], cell[1], epsilon, n_steps),
-                cells,
-            )
-        )
 
     rows = []
     any_fail = False
-    for (s, t), (min_slack, r_eig, status) in zip(cells, results):
+    for s, t in itertools.product(sigmas, taus):
+        min_slack, r_eig, status = _stability_cell(problem, kind, s, t, epsilon, n_steps)
         # out-of-hypothesis cells are marked, not judged
         slack_cell = "n/a(hypothesis)" if status == "n/a(hypothesis)" else min_slack
         rows.append([s, t, kind.value, slack_cell, r_eig])
@@ -460,9 +428,6 @@ def cmd_compare(args, cp, config_dir: str) -> int:
     base = _make_config(SchemeKind.WEIGHTED, sigma, max(taus), 1, epsilon)
     try:
         report = compare_schemes(problem, base, taus)
-    except (RunStepError, SolveFailureError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except SchemeInapplicableError as err:
         raise ConfigError(f"[problem]: {err}") from err
     except ValueError as err:
@@ -542,6 +507,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cp = _load_ini(args.config)
         config_dir = os.path.dirname(os.path.abspath(args.config))
         return _COMMANDS[args.command](args, cp, config_dir)
+    except (RunStepError, SolveFailureError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except (
         ConfigError,
         configparser.Error,

@@ -401,15 +401,6 @@ def _step_function(kind: SchemeKind):
     return three_level_step
 
 
-def _require_finite(state: SchemeState):
-    """Divergence guard: the per-step solves do not scan their inputs, so a
-    non-finite level is stopped here, at the transition that produced it."""
-    if not np.isfinite(state.y.to_flat()).all():
-        raise RunStepError(
-            f"transition {state.n - 1} -> {state.n} produced a non-finite level", step=state.n - 1
-        )
-
-
 def run(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
@@ -421,26 +412,44 @@ def run(
     records: list[RunRecord] = []
     states: list[BlockVector] = []
 
-    def record(state: SchemeState, extras: dict):
-        records.append(RunRecord(state.n, state.t, weighted_norm(problem.A, state.y), extras))
+    def checked_norm(state: SchemeState) -> float:
+        """A-norm of a new level; the divergence guard.
+
+        The per-step solves do not scan their inputs.  A has a positive
+        diagonal, so a non-finite entry gives a non-finite norm, and so does
+        a finite level too large for (Ay, y) to be represented: either way
+        the run stops at the transition that produced the level, before any
+        observer sees it.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_a = weighted_norm(problem.A, state.y)
+        if not np.isfinite(norm_a):
+            raise RunStepError(
+                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
+                step=state.n - 1,
+            )
+        return norm_a
+
+    def record(state: SchemeState, norm_a: float, extras: dict):
+        records.append(RunRecord(state.n, state.t, norm_a, extras))
         if keep_states:
             states.append(state.y)
 
     state = SchemeState(0, 0.0, problem.v0)
+    norm_a = weighted_norm(problem.A, state.y)
+    remaining = cfg.n_steps
     if cfg.kind is SchemeKind.THREE_LEVEL:
-        record(state, {})
+        record(state, norm_a, {})
         try:
             state = three_level_init(problem, cfg, workspace)
         except Exception as err:
             raise RunStepError(f"startup transition 0 -> 1 failed: {err}", step=0) from err
-        _require_finite(state)
-        remaining = cfg.n_steps - 1
-    else:
-        remaining = cfg.n_steps
+        norm_a = checked_norm(state)
+        remaining -= 1
     extras: dict = {}
     for obs in observers:
         extras.update(obs.initial(problem, cfg, state))
-    record(state, extras)
+    record(state, norm_a, extras)
 
     step = _step_function(cfg.kind)
     for _ in range(remaining):
@@ -449,10 +458,10 @@ def run(
             new = step(problem, cfg, state, workspace, phi=phi)
         except Exception as err:
             raise RunStepError(f"transition {state.n} -> {state.n + 1} failed: {err}", step=state.n) from err
-        _require_finite(new)
+        norm_a = checked_norm(new)
         extras = {}
         for obs in observers:
             extras.update(obs.transition(problem, cfg, state, new, phi))
-        record(new, extras)
+        record(new, norm_a, extras)
         state = new
     return RunLog(cfg, tuple(records), tuple(states) if keep_states else None)

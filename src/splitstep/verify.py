@@ -1,10 +1,14 @@
 """Stability estimate checks, reference solutions, and convergence studies.
 
-The estimate classes assemble, in dense form, exactly the weight operators
-that appear in the level-wise stability bounds of each scheme and measure the
-slack (bound minus achieved value) per transition.  Nonnegative slack up to
-rounding is what the theory promises whenever its hypotheses hold; out of
-hypothesis the same quantities can still be probed but assert nothing.
+One run observer per scheme family certifies its level-wise stability
+estimate: ``EstimateObserver`` for the weighted and factorized schemes,
+``EnergyObserver`` for the three-level scheme.  Each assembles, in dense
+form, exactly the weight operators that appear in its bound, evaluates one
+energy per level, and measures the slack (bound minus achieved value) per
+transition.  ``run_slacks`` recomputes the same slacks from a finished run's
+stored levels.  Nonnegative slack up to rounding is what the theory promises
+whenever its hypotheses hold; out of hypothesis the same quantities can
+still be probed but assert nothing.
 
 Reference solutions come from two deliberately independent routes: a
 closed-form modal solution through the generalized symmetric eigenproblem,
@@ -58,110 +62,6 @@ def _symmetrize_checked(mat: np.ndarray, context: str, tol: float = 1e-10) -> np
     return 0.5 * (mat + mat.T)
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One checked transition: achieved value, level-wise bound, and slack."""
-
-    n: int
-    t: float
-    energy: Optional[float]
-    bound_rhs: float
-    slack: float
-
-
-class TwoLevelEstimate:
-    """Level-wise bound for the weighted and factorized schemes.
-
-    The bound reads ||y^{n+1}||_A^2 <= ||y^n||_A^2 + (tau/2) (W^{-1} phi, phi)
-    with W = B + (sigma - 1/2) tau A for the weighted scheme and the same
-    plus sigma^2 tau^2 A1 B^{-1} A2 for the factorized one.  Constructing the
-    estimate factors W, so an indefinite W (possible out of hypothesis)
-    raises instead of producing meaningless numbers.
-    """
-
-    def __init__(self, problem: EvolutionProblem, cfg: SchemeConfig):
-        if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
-            raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
-        self.cfg = cfg
-        self._a = problem.A.to_dense()
-        bd = problem.B.to_dense()
-        w = bd + (cfg.sigma - 0.5) * cfg.tau * self._a
-        if cfg.kind is SchemeKind.FACTORIZED:
-            split = triangular_split(problem.A)
-            a1 = split.lower.to_dense()
-            a2 = split.upper.to_dense()
-            st = cfg.sigma * cfg.tau
-            w = w + st**2 * (a1 @ np.linalg.solve(bd, a2))
-        self._weight_factor = factor_spd(_symmetrize_checked(w, "estimate weight"), context="estimate weight")
-
-    def forcing_term(self, phi: BlockVector) -> float:
-        """(tau/2) (W^{-1} phi, phi)."""
-        f = phi.to_flat()
-        return 0.5 * self.cfg.tau * float(f @ self._weight_factor.solve(f))
-
-    def value(self, y: BlockVector) -> float:
-        return _quad(self._a, y.to_flat())
-
-    def bound_rhs(self, y_n: BlockVector, phi: BlockVector) -> float:
-        return self.value(y_n) + self.forcing_term(phi)
-
-    def slack(self, y_n: BlockVector, y_np1: BlockVector, phi: BlockVector) -> float:
-        return self.bound_rhs(y_n, phi) - self.value(y_np1)
-
-
-class ThreeLevelEstimate:
-    """Energy bound for the three-level factorized scheme.
-
-    With C1 = B1 + sigma*tau*A1, C2 = B2 + sigma*tau*A2, C = B + sigma*tau*A,
-    D = (tau / (2 eps)) (C1 C2 + eps^2 I) and R = D - (tau^2/4) A, the energy
-
-        E_n = ||(y^n + y^{n-1})/2||_A^2 + ||(y^n - y^{n-1})/tau||_R^2
-
-    obeys E_{n+1} <= E_n + (tau/2) (C^{-1} phi^n, phi^n) for sigma >= 1,
-    where R is positive definite.  R stays assembled for any admitted sigma
-    so out-of-hypothesis behavior can be probed.
-    """
-
-    def __init__(self, problem: EvolutionProblem, cfg: SchemeConfig):
-        if cfg.kind is not SchemeKind.THREE_LEVEL:
-            raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
-        self.cfg = cfg
-        self._a = problem.A.to_dense()
-        a_split = triangular_split(problem.A)
-        b_split = triangular_split(problem.B)
-        st = cfg.sigma * cfg.tau
-        c1 = b_split.lower.to_dense() + st * a_split.lower.to_dense()
-        c2 = b_split.upper.to_dense() + st * a_split.upper.to_dense()
-        n = self._a.shape[0]
-        d = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * np.eye(n))
-        r = d - (cfg.tau**2 / 4.0) * self._a
-        self._r = _symmetrize_checked(r, "difference weight")
-        c = problem.B.to_dense() + st * self._a
-        self._c_factor = factor_spd(_symmetrize_checked(c, "transition operator"), context="B + sigma*tau*A")
-
-    def energy(self, y: BlockVector, y_prev: BlockVector) -> float:
-        mean = 0.5 * (y.to_flat() + y_prev.to_flat())
-        rate = (y.to_flat() - y_prev.to_flat()) / self.cfg.tau
-        return _quad(self._a, mean) + _quad(self._r, rate)
-
-    def forcing_term(self, phi: BlockVector) -> float:
-        """(tau/2) (C^{-1} phi, phi)."""
-        f = phi.to_flat()
-        return 0.5 * self.cfg.tau * float(f @ self._c_factor.solve(f))
-
-    def slack(self, prev: SchemeState, new: SchemeState, phi: BlockVector) -> float:
-        if prev.y_prev is None or new.y_prev is None:
-            raise ValueError("three-level slack needs states carrying their previous level")
-        bound = self.energy(prev.y, prev.y_prev) + self.forcing_term(phi)
-        return bound - self.energy(new.y, new.y_prev)
-
-    def diff_weight(self) -> np.ndarray:
-        return self._r
-
-    def diff_weight_min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self._r)[0])
-
-
 def factorized_operator_dense(
     problem: EvolutionProblem, cfg: SchemeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,95 +102,155 @@ def factorized_operator_psd_margin(problem: EvolutionProblem, cfg: SchemeConfig)
 
 
 class EstimateObserver(RunObserver):
-    """Attaches the two-level slack to every transition of a run.
+    """Certifies the level-wise bound of the weighted and factorized schemes.
 
-    ``estimate`` is the ``TwoLevelEstimate`` built by ``initial``.
+    The bound reads ||y^{n+1}||_A^2 <= ||y^n||_A^2 + (tau/2) (W^{-1} phi, phi)
+    with W = B + (sigma - 1/2) tau A for the weighted scheme and the same
+    plus sigma^2 tau^2 A1 B^{-1} A2 for the factorized one.  ``initial``
+    assembles A and W in dense form and factors W, so an indefinite W
+    (possible out of hypothesis) raises instead of producing meaningless
+    numbers.  The observer keeps the energy of the last level it saw, so a
+    transition evaluates one energy: transitions must follow on from the
+    level ``initial`` saw, as ``run`` calls them.
     """
 
     def __init__(self):
-        self.records: list[EnergyRecord] = []
         self.min_slack = math.inf
-        self.estimate: Optional[TwoLevelEstimate] = None
+        self.initial_energy: Optional[float] = None
+        self._last: Optional[float] = None
+
+    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
+        """Dense A and the factored weight W; ``initial`` calls this."""
+        if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
+            raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
+        self._tau = cfg.tau
+        self._a = problem.A.to_dense()
+        bd = problem.B.to_dense()
+        w = bd + (cfg.sigma - 0.5) * cfg.tau * self._a
+        if cfg.kind is SchemeKind.FACTORIZED:
+            split = triangular_split(problem.A)
+            a1 = split.lower.to_dense()
+            a2 = split.upper.to_dense()
+            st = cfg.sigma * cfg.tau
+            w = w + st**2 * (a1 @ np.linalg.solve(bd, a2))
+        self._weight_factor = factor_spd(_symmetrize_checked(w, "estimate weight"), context="estimate weight")
+
+    def energy(self, state: SchemeState) -> float:
+        """||y^n||_A^2."""
+        return _quad(self._a, state.y.to_flat())
+
+    def forcing_term(self, phi: BlockVector) -> float:
+        """(tau/2) (W^{-1} phi, phi)."""
+        f = phi.to_flat()
+        return 0.5 * self._tau * float(f @ self._weight_factor.solve(f))
 
     def initial(self, problem, cfg, state):
-        self.estimate = TwoLevelEstimate(problem, cfg)
+        self.assemble(problem, cfg)
+        self.initial_energy = self._last = self.energy(state)
         return {}
 
     def transition(self, problem, cfg, prev, new, phi):
-        est = self.estimate
-        bound = est.bound_rhs(prev.y, phi)
-        slack = bound - est.value(new.y)
+        bound = self._last + self.forcing_term(phi)
+        self._last = self.energy(new)
+        slack = bound - self._last
         self.min_slack = min(self.min_slack, slack)
-        self.records.append(EnergyRecord(new.n, new.t, None, bound, slack))
         return {"slack": slack}
 
 
 class EnergyObserver(RunObserver):
-    """Attaches the three-level energy and its slack to every transition.
+    """Certifies the energy bound of the three-level factorized scheme.
 
-    ``estimate`` is the ``ThreeLevelEstimate`` built by ``initial``; callers
-    read the difference weight's smallest eigenvalue from it rather than
-    assembling the estimate a second time.
+    With C1 = B1 + sigma*tau*A1, C2 = B2 + sigma*tau*A2, C = B + sigma*tau*A,
+    D = (tau / (2 eps)) (C1 C2 + eps^2 I) and R = D - (tau^2/4) A, the energy
+
+        E_n = ||(y^n + y^{n-1})/2||_A^2 + ||(y^n - y^{n-1})/tau||_R^2
+
+    obeys E_{n+1} <= E_n + (tau/2) (C^{-1} phi^n, phi^n) for sigma >= 1,
+    where R is positive definite.  ``initial`` assembles A and R in dense
+    form for any admitted sigma, so out-of-hypothesis behavior can be
+    probed, and factors C.  As in ``EstimateObserver``, the energy of the
+    last level seen is kept, so a transition evaluates one energy.
     """
 
     def __init__(self):
-        self.records: list[EnergyRecord] = []
         self.min_slack = math.inf
         self.initial_energy: Optional[float] = None
-        self.estimate: Optional[ThreeLevelEstimate] = None
+        self._last: Optional[float] = None
+
+    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
+        """Dense A and R and the factored C; ``initial`` calls this."""
+        if cfg.kind is not SchemeKind.THREE_LEVEL:
+            raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
+        self._tau = cfg.tau
+        self._a = problem.A.to_dense()
+        a_split = triangular_split(problem.A)
+        b_split = triangular_split(problem.B)
+        st = cfg.sigma * cfg.tau
+        c1 = b_split.lower.to_dense() + st * a_split.lower.to_dense()
+        c2 = b_split.upper.to_dense() + st * a_split.upper.to_dense()
+        n = self._a.shape[0]
+        d = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * np.eye(n))
+        r = d - (cfg.tau**2 / 4.0) * self._a
+        self._r = _symmetrize_checked(r, "difference weight")
+        c = problem.B.to_dense() + st * self._a
+        self._c_factor = factor_spd(_symmetrize_checked(c, "transition operator"), context="B + sigma*tau*A")
+
+    def energy(self, state: SchemeState) -> float:
+        """E_n of the pair (y^n, y^{n-1})."""
+        if state.y_prev is None:
+            raise ValueError("three-level energy needs a state carrying its previous level")
+        y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
+        return _quad(self._a, 0.5 * (y + y_prev)) + _quad(self._r, (y - y_prev) / self._tau)
+
+    def forcing_term(self, phi: BlockVector) -> float:
+        """(tau/2) (C^{-1} phi, phi)."""
+        f = phi.to_flat()
+        return 0.5 * self._tau * float(f @ self._c_factor.solve(f))
+
+    def diff_weight(self) -> np.ndarray:
+        return self._r
+
+    def diff_weight_min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self._r)[0])
 
     def initial(self, problem, cfg, state):
-        self.estimate = ThreeLevelEstimate(problem, cfg)
-        self.initial_energy = self.estimate.energy(state.y, state.y_prev)
-        return {"energy": self.initial_energy}
+        self.assemble(problem, cfg)
+        self.initial_energy = self._last = self.energy(state)
+        return {"energy": self._last}
 
     def transition(self, problem, cfg, prev, new, phi):
-        est = self.estimate
-        energy_new = est.energy(new.y, new.y_prev)
-        bound = est.energy(prev.y, prev.y_prev) + est.forcing_term(phi)
-        slack = bound - energy_new
+        bound = self._last + self.forcing_term(phi)
+        self._last = self.energy(new)
+        slack = bound - self._last
         self.min_slack = min(self.min_slack, slack)
-        self.records.append(EnergyRecord(new.n, new.t, energy_new, bound, slack))
-        return {"energy": energy_new, "slack": slack}
+        return {"energy": self._last, "slack": slack}
 
 
-def two_level_run_slacks(
-    problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog
-) -> list[float]:
-    """Recompute the two-level slack for every transition of a finished run.
+def run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> list[float]:
+    """Recompute the estimate slack of every certified transition of a finished run.
 
-    Works from the stored states alone, so it is an independent route to the
-    same numbers the streaming observer produces.
-    """
-    if log.states is None:
-        raise ValueError("run log carries no states; rerun with keep_states=True")
-    est = TwoLevelEstimate(problem, cfg)
-    slacks = []
-    for n in range(len(log.states) - 1):
-        phi = forcing_sample(problem, cfg, n)
-        slacks.append(est.slack(log.states[n], log.states[n + 1], phi))
-    return slacks
-
-
-def three_level_run_slacks(
-    problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog
-) -> list[float]:
-    """Recompute the three-level energy slack for transitions from level 1 on.
-
-    The startup transition produces level 1 by a different recurrence and has
-    no energy bound of its own, so the first entry corresponds to the
+    Works from the stored levels alone and evaluates both energies of each
+    transition afresh, so it is an independent route to the numbers the
+    streaming observers produce.  The three-level startup transition
+    produces level 1 by a different recurrence and has no energy bound of
+    its own, so for that scheme the first entry corresponds to the
     transition from (y^1, y^0) to (y^2, y^1).
     """
     if log.states is None:
         raise ValueError("run log carries no states; rerun with keep_states=True")
-    est = ThreeLevelEstimate(problem, cfg)
-    slacks = []
-    for n in range(1, len(log.states) - 1):
-        phi = forcing_sample(problem, cfg, n)
-        bound = est.energy(log.states[n], log.states[n - 1]) + est.forcing_term(phi)
-        slacks.append(bound - est.energy(log.states[n + 1], log.states[n]))
-    return slacks
+    three_level = cfg.kind is SchemeKind.THREE_LEVEL
+    observer = EnergyObserver() if three_level else EstimateObserver()
+    observer.assemble(problem, cfg)
+    levels = log.states
 
+    def level(n: int) -> SchemeState:
+        return SchemeState(n, n * cfg.tau, levels[n], levels[n - 1] if three_level else None)
+
+    slacks = []
+    for n in range(1 if three_level else 0, len(levels) - 1):
+        bound = observer.energy(level(n)) + observer.forcing_term(forcing_sample(problem, cfg, n))
+        slacks.append(bound - observer.energy(level(n + 1)))
+    return slacks
 
 # ---------------------------------------------------------------------------
 # Reference solutions.

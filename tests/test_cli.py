@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
@@ -233,6 +234,17 @@ class TestRunCommand:
             main([])
         assert exc_info.value.code == 2
 
+    def test_overflowing_norm_stops_the_run(self, tmp_path, capsys):
+        # the guard fires on the first level whose A-norm overflows, before
+        # any numpy overflow warning can reach stderr
+        config = write_config(tmp_path, DIVERGING_LADDER.replace("taus = 1 1/2", "tau = 1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err == "error: transition 45 -> 46 produced a non-finite level (A-norm inf)\n"
+
 
 class TestProblemKind:
     # coupled_diffusion and double_porosity share one builder; the kind only
@@ -280,7 +292,8 @@ CONVERGE_BASE = """\
 """
 
 
-# explicit stepping far past its stability limit: the state overflows at step 88
+# explicit stepping far past its stability limit: the level from transition
+# 45 -> 46 has finite entries but an A-norm that overflows
 DIVERGING_LADDER = """\
     [problem]
     kind = manufactured
@@ -357,7 +370,7 @@ class TestConvergeCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["converge", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: transition 87 -> 88 failed") and err.count("\n") == 1
+        assert err.startswith("error: transition 45 -> 46 produced a non-finite level") and err.count("\n") == 1
         assert not (tmp_path / "converge.csv").exists()
 
 
@@ -410,8 +423,7 @@ class TestStabilityCommand:
         out = capsys.readouterr().out
         assert "status=n/a(hypothesis)" in out and "status=ok" in out
 
-    def test_three_level_sweep_reports_diff_weight(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPLITSTEP_THREADS", "1")
+    def test_three_level_sweep_reports_diff_weight(self, tmp_path):
         config = write_config(tmp_path, STABILITY_THREE_LEVEL)
         assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
         _, rows = read_csv(tmp_path / "stability.csv")
@@ -424,29 +436,20 @@ class TestStabilityCommand:
                 assert float(row[3]) >= -1e-10
 
     def test_three_level_estimate_built_once_per_cell(self, tmp_path, monkeypatch):
-        # the r_min_eig column reads the observer's estimate, not a second one
-        monkeypatch.setenv("SPLITSTEP_THREADS", "1")
+        # the r_min_eig column reads the observer's weights, not a second set
         built = []
-        real_init = splitstep.verify.ThreeLevelEstimate.__init__
+        real_assemble = splitstep.verify.EnergyObserver.assemble
 
-        def counting_init(self, problem, cfg):
+        def counting_assemble(self, problem, cfg):
             built.append((cfg.sigma, cfg.tau))
-            real_init(self, problem, cfg)
+            real_assemble(self, problem, cfg)
 
-        monkeypatch.setattr(splitstep.verify.ThreeLevelEstimate, "__init__", counting_init)
+        monkeypatch.setattr(splitstep.verify.EnergyObserver, "assemble", counting_assemble)
         config = write_config(tmp_path, STABILITY_THREE_LEVEL)
         assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
         assert sorted(built) == [(0.5, 0.01), (0.5, 0.1), (1.0, 0.01), (1.0, 0.1)]
         _, rows = read_csv(tmp_path / "stability.csv")
         assert all(row[4] != "" for row in rows)
-
-    def test_thread_env_validation(self, tmp_path, monkeypatch, capsys):
-        config = write_config(tmp_path, STABILITY_WEIGHTED)
-        monkeypatch.setenv("SPLITSTEP_THREADS", "0")
-        assert main(["stability", "--config", config, "--out", str(tmp_path)]) == 2
-        assert "SPLITSTEP_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("SPLITSTEP_THREADS", "two")
-        assert main(["stability", "--config", config, "--out", str(tmp_path)]) == 2
 
     def test_sigma_range_validated_up_front(self, tmp_path, capsys):
         config = write_config(tmp_path, STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.5 2"))
@@ -519,7 +522,7 @@ class TestCompareCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["compare", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: transition 87 -> 88 failed") and err.count("\n") == 1
+        assert err.startswith("error: transition 45 -> 46 produced a non-finite level") and err.count("\n") == 1
         assert not (tmp_path / "compare.csv").exists()
 
 

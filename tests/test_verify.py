@@ -16,8 +16,6 @@ from splitstep import (
     NotPositiveDefiniteError,
     SchemeConfig,
     SchemeState,
-    ThreeLevelEstimate,
-    TwoLevelEstimate,
     UnsupportedForcingError,
     build_coupled_diffusion,
     compare_schemes,
@@ -30,9 +28,8 @@ from splitstep import (
     manufactured_problem,
     reference_solution,
     run,
-    three_level_run_slacks,
+    run_slacks,
     tiny_step_reference,
-    two_level_run_slacks,
     weighted_norm,
     weighted_step,
     zero_forcing,
@@ -50,119 +47,135 @@ from helpers import random_problem, scalar_problem
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def observed(observer, prob, cfg, state=None):
+    """``observer`` after ``initial`` on ``state``, by default level 0."""
+    observer.initial(prob, cfg, state or SchemeState(0, 0.0, prob.v0))
+    return observer
+
+
 class TestTwoLevelEstimate:
+    """The weighted and factorized schemes' estimate, as ``EstimateObserver`` checks it."""
+
     def test_rejects_wrong_kind(self):
         prob = scalar_problem()
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=1)
         with pytest.raises(ValueError, match="does not apply"):
-            TwoLevelEstimate(prob, cfg)
+            observed(EstimateObserver(), prob, cfg)
 
     def test_scalar_slack_without_forcing(self):
         # sigma = 1/2 makes W = B, phi = 0, y0 = 1 -> y1 = 9/11:
         # slack = 2*1 - 2*(9/11)^2 = 80/121
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
-        y1 = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0)).y
+        s0 = SchemeState(0, 0.0, prob.v0)
+        s1 = weighted_step(prob, cfg, s0)
         phi = BlockVector.zeros(prob.dims)
-        slack = TwoLevelEstimate(prob, cfg).slack(prob.v0, y1, phi)
+        obs = observed(EstimateObserver(), prob, cfg)
+        assert obs.initial_energy == pytest.approx(2.0, abs=1e-15)
+        slack = obs.transition(prob, cfg, s0, s1, phi)["slack"]
         assert slack == pytest.approx(80.0 / 121.0, abs=1e-14)
+        assert obs.min_slack == slack
 
     def test_scalar_forcing_term_at_half_weight(self):
         # W collapses to B at sigma = 1/2: (tau/2) phi^2 / b
         prob = scalar_problem(a=2.0, b=2.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
-        est = TwoLevelEstimate(prob, cfg)
+        obs = observed(EstimateObserver(), prob, cfg)
         phi = BlockVector.from_parts(prob.dims, ([3.0],))
-        assert est.forcing_term(phi) == pytest.approx(0.225, abs=1e-15)
+        assert obs.forcing_term(phi) == pytest.approx(0.225, abs=1e-15)
 
     def test_factorized_weight_matches_expanded_operator(self):
         rng = np.random.default_rng(13)
         prob = random_problem(rng, diag_b=True)
         cfg = SchemeConfig("factorized", sigma=0.75, tau=0.2, n_steps=1)
-        est = TwoLevelEstimate(prob, cfg)
+        obs = observed(EstimateObserver(), prob, cfg)
         _, expanded = factorized_operator_dense(prob, cfg)
         w = expanded - 0.5 * cfg.tau * prob.A.to_dense()
         phi = BlockVector(prob.dims, rng.standard_normal(prob.dims.total))
         f = phi.to_flat()
         want = 0.5 * cfg.tau * float(f @ np.linalg.solve(w, f))
-        assert est.forcing_term(phi) == pytest.approx(want, rel=1e-11)
+        assert obs.forcing_term(phi) == pytest.approx(want, rel=1e-11)
 
     def test_indefinite_weight_raises(self):
         # sigma = 0 and a large step push W = B - tau/2 A below zero
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=0.0, tau=2.0, n_steps=1)
         with pytest.raises(NotPositiveDefiniteError):
-            TwoLevelEstimate(prob, cfg)
+            observed(EstimateObserver(), prob, cfg)
 
     def test_class_and_function_agree(self):
-        # the estimate's own slack and the recomputation from a run's states
+        # the observer's streaming slack and the recomputation from a run's states
         rng = np.random.default_rng(14)
         prob = random_problem(rng)
         cfg = SchemeConfig("weighted", sigma=0.8, tau=0.05, n_steps=1)
-        y1 = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0)).y
+        s0 = SchemeState(0, 0.0, prob.v0)
+        s1 = weighted_step(prob, cfg, s0)
         phi = prob.forcing(cfg.sigma * cfg.tau)
-        est = TwoLevelEstimate(prob, cfg)
-        (recomputed,) = two_level_run_slacks(prob, cfg, run(prob, cfg))
-        assert est.slack(prob.v0, y1, phi) == pytest.approx(recomputed, rel=1e-14)
+        streamed = observed(EstimateObserver(), prob, cfg).transition(prob, cfg, s0, s1, phi)["slack"]
+        (recomputed,) = run_slacks(prob, cfg, run(prob, cfg))
+        assert streamed == pytest.approx(recomputed, rel=1e-14)
 
 
 class TestThreeLevelEstimate:
+    """The three-level scheme's energy estimate, as ``EnergyObserver`` checks it."""
+
     scalar_cfg = dict(sigma=1.0, tau=0.1, n_steps=2, epsilon=1.0)
 
     def test_rejects_wrong_kind(self):
         prob = scalar_problem()
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
         with pytest.raises(ValueError, match="does not apply"):
-            ThreeLevelEstimate(prob, cfg)
+            EnergyObserver().assemble(prob, cfg)
 
     def test_scalar_difference_weight(self):
         # C1 = C2 = 0.5 + 0.1 = 0.6, D = 0.05 * (0.36 + 1) = 0.068,
         # R = 0.068 - 0.0025 * 2 = 0.063
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
-        est = ThreeLevelEstimate(prob, cfg)
-        assert est.diff_weight()[0, 0] == pytest.approx(0.063, abs=1e-15)
-        assert est.diff_weight_min_eig() == pytest.approx(0.063, abs=1e-15)
+        obs = EnergyObserver()
+        obs.assemble(prob, cfg)
+        assert obs.diff_weight()[0, 0] == pytest.approx(0.063, abs=1e-15)
+        assert obs.diff_weight_min_eig() == pytest.approx(0.063, abs=1e-15)
 
     def test_scalar_energy_ladder(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
-        est = ThreeLevelEstimate(prob, cfg)
         one = prob.v0
-        assert est.energy(one, one) == pytest.approx(2.0, abs=1e-14)
+        state = SchemeState(1, 0.1, one, y_prev=one)
+        obs = observed(EnergyObserver(), prob, cfg, state)
+        assert obs.initial_energy == pytest.approx(2.0, abs=1e-14)
 
         from splitstep import three_level_step
 
-        state = SchemeState(1, 0.1, one, y_prev=one)
         out = three_level_step(prob, cfg, state)
         # y2 = 27/32: E2 = 2 (59/64)^2 + 0.063 (25/16)^2
-        assert est.energy(out.y, out.y_prev) == pytest.approx(1.853515625, abs=1e-13)
-        slack = est.slack(state, out, BlockVector.zeros(prob.dims))
-        assert slack == pytest.approx(0.146484375, abs=1e-13)
+        extras = obs.transition(prob, cfg, state, out, BlockVector.zeros(prob.dims))
+        assert extras["energy"] == pytest.approx(1.853515625, abs=1e-13)
+        assert extras["slack"] == pytest.approx(0.146484375, abs=1e-13)
 
     def test_energy_special_shapes(self):
         rng = np.random.default_rng(15)
         prob = random_problem(rng, diag_b=False, forced=False)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.2, n_steps=2)
-        est = ThreeLevelEstimate(prob, cfg)
+        obs = EnergyObserver()
+        obs.assemble(prob, cfg)
         v = prob.v0
         # flat history: only the mean term survives
-        assert est.energy(v, v) == pytest.approx(
+        assert obs.energy(SchemeState(1, cfg.tau, v, y_prev=v)) == pytest.approx(
             weighted_norm(prob.A, v) ** 2, rel=1e-12
         )
         # antisymmetric history: only the difference term survives
-        r = est.diff_weight()
+        r = obs.diff_weight()
         rate = (2.0 / cfg.tau) * v.to_flat()
-        assert est.energy(v, -1.0 * v) == pytest.approx(float(rate @ r @ rate), rel=1e-12)
+        assert obs.energy(SchemeState(1, cfg.tau, v, y_prev=-1.0 * v)) == pytest.approx(
+            float(rate @ r @ rate), rel=1e-12
+        )
 
     def test_slack_needs_history(self):
         prob = scalar_problem()
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
-        est = ThreeLevelEstimate(prob, cfg)
-        s0 = SchemeState(1, 0.1, prob.v0)
-        s1 = SchemeState(2, 0.2, prob.v0, y_prev=prob.v0)
         with pytest.raises(ValueError, match="previous level"):
-            est.slack(s0, s1, BlockVector.zeros(prob.dims))
+            observed(EnergyObserver(), prob, cfg, SchemeState(1, 0.1, prob.v0))
 
 
 def test_symmetrize_checked_flags_asymmetry():
@@ -199,13 +212,12 @@ class TestObserversAgainstReplay:
         cfg = SchemeConfig("weighted", sigma=0.75, tau=0.05, n_steps=8)
         obs = EstimateObserver()
         log = run(prob, cfg, observers=(obs,))
-        streamed = [rec.slack for rec in obs.records]
-        replayed = two_level_run_slacks(prob, cfg, log)
+        streamed = [rec.extras["slack"] for rec in log.records[1:]]
+        replayed = run_slacks(prob, cfg, log)
         assert len(streamed) == 8
         np.testing.assert_allclose(streamed, replayed, rtol=1e-10, atol=1e-12)
         assert obs.min_slack == pytest.approx(min(replayed), rel=1e-10)
-        assert all(rec.energy is None for rec in obs.records)
-        assert all("slack" in rec.extras for rec in log.records[1:])
+        assert all("energy" not in rec.extras for rec in log.records)
 
     def test_factorized_observer_matches_replay(self):
         rng = np.random.default_rng(17)
@@ -213,8 +225,8 @@ class TestObserversAgainstReplay:
         cfg = SchemeConfig("factorized", sigma=0.5, tau=0.05, n_steps=6)
         obs = EstimateObserver()
         log = run(prob, cfg, observers=(obs,))
-        replayed = two_level_run_slacks(prob, cfg, log)
-        np.testing.assert_allclose([rec.slack for rec in obs.records], replayed,
+        replayed = run_slacks(prob, cfg, log)
+        np.testing.assert_allclose([rec.extras["slack"] for rec in log.records[1:]], replayed,
                                    rtol=1e-10, atol=1e-12)
 
     def test_three_level_observer_matches_replay(self):
@@ -223,26 +235,47 @@ class TestObserversAgainstReplay:
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.05, n_steps=7)
         obs = EnergyObserver()
         log = run(prob, cfg, observers=(obs,))
-        streamed = [rec.slack for rec in obs.records]
-        replayed = three_level_run_slacks(prob, cfg, log)
+        streamed = [rec.extras["slack"] for rec in log.records[2:]]
+        replayed = run_slacks(prob, cfg, log)
         assert len(streamed) == 6
         np.testing.assert_allclose(streamed, replayed, rtol=1e-10, atol=1e-12)
-        est = ThreeLevelEstimate(prob, cfg)
-        assert obs.initial_energy == pytest.approx(
-            est.energy(log.states[1], log.states[0]), rel=1e-12
-        )
-        assert all(rec.energy is not None for rec in obs.records)
+        level_one = SchemeState(1, cfg.tau, log.states[1], y_prev=log.states[0])
+        assert obs.initial_energy == pytest.approx(obs.energy(level_one), rel=1e-12)
+        assert log.records[1].extras == {"energy": obs.initial_energy}
+        assert all("energy" in rec.extras for rec in log.records[1:])
 
     def test_replay_needs_states(self):
         prob = scalar_problem()
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=2)
         log = run(prob, cfg, keep_states=False)
         with pytest.raises(ValueError, match="keep_states"):
-            two_level_run_slacks(prob, cfg, log)
+            run_slacks(prob, cfg, log)
         cfg3 = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2)
         log3 = run(prob, cfg3, keep_states=False)
         with pytest.raises(ValueError, match="keep_states"):
-            three_level_run_slacks(prob, cfg3, log3)
+            run_slacks(prob, cfg3, log3)
+
+
+@pytest.mark.parametrize(
+    "kind, sigma, diag_b", [("weighted", 0.75, False), ("factorized", 0.5, True), ("three_level", 1.0, False)]
+)
+def test_one_energy_evaluation_per_level(monkeypatch, kind, sigma, diag_b):
+    # the observer carries the last level's energy into the next transition
+    evaluated = []
+    for cls in (EstimateObserver, EnergyObserver):
+        real_energy = cls.energy
+
+        def counting_energy(self, state, real_energy=real_energy):
+            evaluated.append(state.n)
+            return real_energy(self, state)
+
+        monkeypatch.setattr(cls, "energy", counting_energy)
+    prob = random_problem(np.random.default_rng(19), diag_b=diag_b)
+    cfg = SchemeConfig(kind, sigma=sigma, tau=0.05, n_steps=6)
+    obs = EnergyObserver() if kind == "three_level" else EstimateObserver()
+    run(prob, cfg, observers=(obs,), keep_states=False)
+    first = 1 if kind == "three_level" else 0
+    assert evaluated == list(range(first, cfg.n_steps + 1))
 
 
 class TestReferenceSolution:
