@@ -76,8 +76,6 @@ from .verify import (
     UnsupportedForcingError,
     compare_schemes,
     convergence_study,
-    factorized_operator_identity_error,
-    factorized_operator_psd_margin,
     reference_solution,
     run_slacks,
     tiny_step_reference,

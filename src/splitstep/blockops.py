@@ -246,7 +246,13 @@ class BlockOperator:
         return self._matrix.toarray()
 
     def to_sparse(self) -> sp.csr_array:
-        """A freshly assembled CSR matrix of the whole operator.
+        """A CSR matrix of the whole operator, the caller's own copy."""
+        return self._matrix.copy()
+
+    @cached_property
+    def _matrix(self) -> sp.csr_array:
+        """The CSR matrix of the whole operator; private, since callers may
+        change what ``to_sparse`` hands out.
 
         Built from the blocks' coordinates: ``sp.bmat`` fails on a grid of
         equal-shaped dense blocks, drops a block row that holds no block, and
@@ -269,19 +275,23 @@ class BlockOperator:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
         return sp.csr_array((np.concatenate(vals)[order], c[order], indptr), shape=(n, n))
 
+    # the operator is frozen, so values derived from its entries are cached
     @cached_property
-    def _matrix(self) -> sp.csr_array:
-        # private: to_sparse() hands out copies that callers may change
-        return self.to_sparse()
-
-    def norm_inf(self) -> float:
-        """Infinity norm (largest absolute row sum)."""
+    def _norm_inf(self) -> float:
         csr = self._matrix
         return float(np.bincount(_csr_rows(csr), weights=np.abs(csr.data), minlength=csr.shape[0]).max())
 
-    def absmax(self) -> float:
+    @cached_property
+    def _absmax(self) -> float:
         data = self._matrix.data
         return float(np.abs(data).max()) if data.size else 0.0
+
+    def norm_inf(self) -> float:
+        """Infinity norm (largest absolute row sum)."""
+        return self._norm_inf
+
+    def absmax(self) -> float:
+        return self._absmax
 
     def is_block_diagonal(self) -> bool:
         return all(a == b for (a, b) in self.blocks)

@@ -161,12 +161,16 @@ class SchemeState:
     """Discrete state after n transitions: y approximates u(n * tau).
 
     ``y_prev`` is carried only by the three-level scheme from level 1 on.
+    ``norm_a`` is ||y||_A where ``run`` has measured it: every state that
+    ``run`` hands its observers carries it, the step functions' own results
+    do not.
     """
 
     n: int
     t: float
     y: BlockVector
     y_prev: Optional[BlockVector] = None
+    norm_a: Optional[float] = None
 
 
 def forcing_sample(problem: EvolutionProblem, cfg: SchemeConfig, n: int) -> BlockVector:
@@ -412,8 +416,8 @@ def run(
     records: list[RunRecord] = []
     states: list[BlockVector] = []
 
-    def checked_norm(state: SchemeState) -> float:
-        """A-norm of a new level; the divergence guard.
+    def measured(state: SchemeState) -> SchemeState:
+        """A new level with its A-norm attached; the divergence guard.
 
         The per-step solves do not scan their inputs.  A has a positive
         diagonal, so a non-finite entry gives a non-finite norm, and so does
@@ -428,28 +432,27 @@ def run(
                 f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
                 step=state.n - 1,
             )
-        return norm_a
+        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a)
 
-    def record(state: SchemeState, norm_a: float, extras: dict):
-        records.append(RunRecord(state.n, state.t, norm_a, extras))
+    def record(state: SchemeState, extras: dict):
+        records.append(RunRecord(state.n, state.t, state.norm_a, extras))
         if keep_states:
             states.append(state.y)
 
-    state = SchemeState(0, 0.0, problem.v0)
-    norm_a = weighted_norm(problem.A, state.y)
+    state = SchemeState(0, 0.0, problem.v0, norm_a=weighted_norm(problem.A, problem.v0))
     remaining = cfg.n_steps
     if cfg.kind is SchemeKind.THREE_LEVEL:
-        record(state, norm_a, {})
+        record(state, {})
         try:
             state = three_level_init(problem, cfg, workspace)
         except Exception as err:
             raise RunStepError(f"startup transition 0 -> 1 failed: {err}", step=0) from err
-        norm_a = checked_norm(state)
+        state = measured(state)
         remaining -= 1
     extras: dict = {}
     for obs in observers:
         extras.update(obs.initial(problem, cfg, state))
-    record(state, norm_a, extras)
+    record(state, extras)
 
     step = _step_function(cfg.kind)
     for _ in range(remaining):
@@ -458,10 +461,10 @@ def run(
             new = step(problem, cfg, state, workspace, phi=phi)
         except Exception as err:
             raise RunStepError(f"transition {state.n} -> {state.n + 1} failed: {err}", step=state.n) from err
-        norm_a = checked_norm(new)
+        new = measured(new)
         extras = {}
         for obs in observers:
             extras.update(obs.transition(problem, cfg, state, new, phi))
-        record(new, norm_a, extras)
+        record(new, extras)
         state = new
     return RunLog(cfg, tuple(records), tuple(states) if keep_states else None)

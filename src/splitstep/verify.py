@@ -2,11 +2,14 @@
 
 One run observer per scheme family certifies its level-wise stability
 estimate: ``EstimateObserver`` for the weighted and factorized schemes,
-``EnergyObserver`` for the three-level scheme.  Each assembles, in dense
-form, exactly the weight operators that appear in its bound, evaluates one
-energy per level, and measures the slack (bound minus achieved value) per
-transition.  ``run_slacks`` recomputes the same slacks from a finished run's
-stored levels.  Nonnegative slack up to rounding is what the theory promises
+``EnergyObserver`` for the three-level scheme.  Each assembles exactly the
+weight operators that appear in its bound from the blocks, as sparse
+matrices (dense below ``SPARSE_MIN_ORDER``), factors the ones it solves with
+through ``factor_spd``, evaluates one energy per level by sparse products,
+and measures the slack (bound minus achieved value) per transition, so a
+certified run costs O(N) per step for banded operators at every size.
+``run_slacks`` recomputes the same slacks from a finished run's stored
+levels.  Nonnegative slack up to rounding is what the theory promises
 whenever its hypotheses hold; out of hypothesis the same quantities can
 still be probed but assert nothing.
 
@@ -23,16 +26,26 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import BlockVector, CertificateError, triangular_split, weighted_norm
-from .linsolve import factor_spd
+from .blockops import (
+    SPARSE_MIN_ORDER,
+    BlockOperator,
+    BlockVector,
+    CertificateError,
+    TriangularPair,
+    triangular_split,
+    weighted_norm,
+)
+from .linsolve import DiagFactorization, NotPositiveDefiniteError, SpdFactor, factor_spd
 from .schemes import (
     EvolutionProblem,
     ExponentialSumForcing,
     RunLog,
     RunObserver,
     SchemeConfig,
+    SchemeInapplicableError,
     SchemeKind,
     SchemeState,
     forcing_sample,
@@ -50,55 +63,54 @@ class AssemblyError(RuntimeError):
     """A derived operator lost a structural property it must have."""
 
 
-def _quad(mat: np.ndarray, vec: np.ndarray) -> float:
+def _quad(mat, vec: np.ndarray) -> float:
     return float(vec @ (mat @ vec))
 
 
-def _symmetrize_checked(mat: np.ndarray, context: str, tol: float = 1e-10) -> np.ndarray:
-    defect = float(np.abs(mat - mat.T).max())
-    scale = max(float(np.abs(mat).max()), 1e-300)
+def _symmetrize_checked(mat, context: str, tol: float = 1e-10):
+    """The symmetric part of a dense or sparse matrix that is symmetric up to ``tol``."""
+    defect = float(abs(mat - mat.T).max())
+    scale = max(float(abs(mat).max()), 1e-300)
     if defect > tol * scale:
         raise AssemblyError(f"{context}: expected symmetric matrix, defect {defect:.3e}")
     return 0.5 * (mat + mat.T)
 
 
-def factorized_operator_dense(
-    problem: EvolutionProblem, cfg: SchemeConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product and expanded dense forms of the factorized transition operator.
+def _whole(op: BlockOperator):
+    """The operator as one matrix: dense below ``SPARSE_MIN_ORDER``, CSR above.
 
-    Product form: (B + st A1) B^{-1} (B + st A2).  Expanded form:
-    B + st A + st^2 A1 B^{-1} A2, st = sigma * tau.  Their agreement is an
-    exact operator identity, so any discrepancy beyond rounding is a bug.
+    The same crossover ``factor_spd`` uses: below it a dense product costs
+    less in call overhead than a sparse one.  The estimate weights are
+    assembled by the same expressions in either storage.
     """
-    split = triangular_split(problem.A)
-    bd = problem.B.to_dense()
-    a1 = split.lower.to_dense()
-    a2 = split.upper.to_dense()
-    st = cfg.sigma * cfg.tau
-    product = (bd + st * a1) @ np.linalg.solve(bd, bd + st * a2)
-    expanded = bd + st * problem.A.to_dense() + st**2 * (a1 @ np.linalg.solve(bd, a2))
-    return product, expanded
+    return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
 
 
-def factorized_operator_identity_error(problem: EvolutionProblem, cfg: SchemeConfig) -> float:
-    """Relative entrywise gap between the product and expanded forms."""
-    product, expanded = factorized_operator_dense(problem, cfg)
-    scale = max(float(np.abs(expanded).max()), 1e-300)
-    return float(np.abs(product - expanded).max()) / scale
+def _a1_binv_a2(B: BlockOperator, split: TriangularPair):
+    """A1 B^{-1} A2 for a block-diagonal B, A1 and A2 the triangular split of A.
 
-
-def factorized_operator_psd_margin(problem: EvolutionProblem, cfg: SchemeConfig) -> float:
-    """Smallest eigenvalue of (transition operator) - (B + sigma*tau*A).
-
-    The gap equals sigma^2 tau^2 A1 B^{-1} A2, which is positive semidefinite
-    because A2 is the adjoint of A1, so the margin must not dip below
-    rounding level.
+    When B is a diagonal matrix, B^{-1} is a sparse diagonal and the product
+    keeps the storage of A.  Otherwise B^{-1} A2 is formed exactly by solves
+    with the factored diagonal blocks of B, and the product is dense.
     """
-    product, _ = factorized_operator_dense(problem, cfg)
-    st = cfg.sigma * cfg.tau
-    gap = product - problem.B.to_dense() - st * problem.A.to_dense()
-    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
+    if not B.is_block_diagonal():
+        raise SchemeInapplicableError("factorized estimate needs a block-diagonal B")
+    a1, a2, b = _whole(split.lower), _whole(split.upper), _whole(B)
+    rows, cols = b.nonzero()
+    if np.array_equal(rows, cols):
+        return a1 @ (sp.diags_array(1.0 / b.diagonal()) @ a2)
+    factors = DiagFactorization.from_operator(B)
+    off = B.dims.offsets
+    a2 = a2.toarray() if sp.issparse(a2) else a2
+    return a1 @ np.vstack([factors.solve_block(c, a2[off[c] : off[c + 1]]) for c in range(B.dims.p)])
+
+
+def _forcing_term(tau: float, factor: SpdFactor, phi: BlockVector) -> float:
+    """(tau/2) (M^{-1} phi, phi) for the factored weight M; a zero phi skips the solve."""
+    f = phi.to_flat()
+    if not f.any():
+        return 0.0
+    return 0.5 * tau * float(f @ factor.solve(f))
 
 
 class EstimateObserver(RunObserver):
@@ -107,11 +119,13 @@ class EstimateObserver(RunObserver):
     The bound reads ||y^{n+1}||_A^2 <= ||y^n||_A^2 + (tau/2) (W^{-1} phi, phi)
     with W = B + (sigma - 1/2) tau A for the weighted scheme and the same
     plus sigma^2 tau^2 A1 B^{-1} A2 for the factorized one.  ``initial``
-    assembles A and W in dense form and factors W, so an indefinite W
-    (possible out of hypothesis) raises instead of producing meaningless
-    numbers.  The observer keeps the energy of the last level it saw, so a
-    transition evaluates one energy: transitions must follow on from the
-    level ``initial`` saw, as ``run`` calls them.
+    assembles W from the blocks and factors it with ``factor_spd`` (banded
+    above ``SPARSE_MIN_ORDER``), so an indefinite W (possible out of
+    hypothesis) raises instead of producing meaningless numbers.  The energy
+    of a level is the square of the A-norm ``run`` attaches to it.  The
+    observer keeps the energy of the last level it saw, so a transition
+    evaluates one energy: transitions must follow on from the level
+    ``initial`` saw, as ``run`` calls them.
     """
 
     def __init__(self):
@@ -120,29 +134,24 @@ class EstimateObserver(RunObserver):
         self._last: Optional[float] = None
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """Dense A and the factored weight W; ``initial`` calls this."""
+        """The factored weight W; ``initial`` calls this."""
         if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
             raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
         self._tau = cfg.tau
-        self._a = problem.A.to_dense()
-        bd = problem.B.to_dense()
-        w = bd + (cfg.sigma - 0.5) * cfg.tau * self._a
+        self._A = problem.A
+        w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
         if cfg.kind is SchemeKind.FACTORIZED:
-            split = triangular_split(problem.A)
-            a1 = split.lower.to_dense()
-            a2 = split.upper.to_dense()
-            st = cfg.sigma * cfg.tau
-            w = w + st**2 * (a1 @ np.linalg.solve(bd, a2))
+            w = w + (cfg.sigma * cfg.tau) ** 2 * _a1_binv_a2(problem.B, triangular_split(problem.A))
         self._weight_factor = factor_spd(_symmetrize_checked(w, "estimate weight"), context="estimate weight")
 
     def energy(self, state: SchemeState) -> float:
-        """||y^n||_A^2."""
-        return _quad(self._a, state.y.to_flat())
+        """||y^n||_A^2, from the norm ``run`` attached to the state if there is one."""
+        norm_a = weighted_norm(self._A, state.y) if state.norm_a is None else state.norm_a
+        return norm_a**2
 
     def forcing_term(self, phi: BlockVector) -> float:
         """(tau/2) (W^{-1} phi, phi)."""
-        f = phi.to_flat()
-        return 0.5 * self._tau * float(f @ self._weight_factor.solve(f))
+        return _forcing_term(self._tau, self._weight_factor, phi)
 
     def initial(self, problem, cfg, state):
         self.assemble(problem, cfg)
@@ -166,10 +175,11 @@ class EnergyObserver(RunObserver):
         E_n = ||(y^n + y^{n-1})/2||_A^2 + ||(y^n - y^{n-1})/tau||_R^2
 
     obeys E_{n+1} <= E_n + (tau/2) (C^{-1} phi^n, phi^n) for sigma >= 1,
-    where R is positive definite.  ``initial`` assembles A and R in dense
-    form for any admitted sigma, so out-of-hypothesis behavior can be
-    probed, and factors C.  As in ``EstimateObserver``, the energy of the
-    last level seen is kept, so a transition evaluates one energy.
+    where R is positive definite.  ``initial`` assembles R from the
+    triangular splits (sparse above ``SPARSE_MIN_ORDER``) for any admitted
+    sigma, so out-of-hypothesis behavior can be probed: R is checked
+    symmetric but not positive definite.  It also factors C.  As in ``EstimateObserver``, the energy of the last
+    level seen is kept, so a transition evaluates one energy.
     """
 
     def __init__(self):
@@ -178,21 +188,21 @@ class EnergyObserver(RunObserver):
         self._last: Optional[float] = None
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """Dense A and R and the factored C; ``initial`` calls this."""
+        """A and R, and the factored C; ``initial`` calls this."""
         if cfg.kind is not SchemeKind.THREE_LEVEL:
             raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
         self._tau = cfg.tau
-        self._a = problem.A.to_dense()
+        self._a = _whole(problem.A)
         a_split = triangular_split(problem.A)
         b_split = triangular_split(problem.B)
         st = cfg.sigma * cfg.tau
-        c1 = b_split.lower.to_dense() + st * a_split.lower.to_dense()
-        c2 = b_split.upper.to_dense() + st * a_split.upper.to_dense()
-        n = self._a.shape[0]
-        d = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * np.eye(n))
-        r = d - (cfg.tau**2 / 4.0) * self._a
-        self._r = _symmetrize_checked(r, "difference weight")
-        c = problem.B.to_dense() + st * self._a
+        c1 = _whole(b_split.lower) + st * _whole(a_split.lower)
+        c2 = _whole(b_split.upper) + st * _whole(a_split.upper)
+        # a sparse identity added to a dense matrix gives a dense one
+        eye = sp.eye_array(problem.dims.total, format="csr")
+        d = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * eye)
+        self._r = _symmetrize_checked(d - (cfg.tau**2 / 4.0) * self._a, "difference weight")
+        c = _whole(problem.B) + st * self._a
         self._c_factor = factor_spd(_symmetrize_checked(c, "transition operator"), context="B + sigma*tau*A")
 
     def energy(self, state: SchemeState) -> float:
@@ -204,14 +214,52 @@ class EnergyObserver(RunObserver):
 
     def forcing_term(self, phi: BlockVector) -> float:
         """(tau/2) (C^{-1} phi, phi)."""
-        f = phi.to_flat()
-        return 0.5 * self._tau * float(f @ self._c_factor.solve(f))
+        return _forcing_term(self._tau, self._c_factor, phi)
 
-    def diff_weight(self) -> np.ndarray:
+    def diff_weight(self):
+        """The assembled R: dense below ``SPARSE_MIN_ORDER``, CSR above."""
         return self._r
 
     def diff_weight_min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self._r)[0])
+        """Smallest eigenvalue of R.
+
+        Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above it, Lanczos
+        iteration (``eigsh``) on (R - s I)^{-1} with a shift s below the
+        spectrum, certified by a Cholesky factorization of R - s I that
+        succeeds: s = 0 when R is positive definite.  Otherwise s starts at
+        twice a Gershgorin lower bound and is bisected towards 0 until it
+        lies within 1% of the smallest eigenvalue, so the iteration does not
+        crawl through a spectrum seen from far below.
+        """
+        r = self._r
+        if not sp.issparse(r):
+            return float(np.linalg.eigvalsh(r)[0])
+        # imported here: only large difference weights need it
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        eye = sp.eye_array(r.shape[0], format="csr")
+        try:
+            shift, factor = 0.0, factor_spd(r, context="difference weight")
+        except NotPositiveDefiniteError:
+            diag = r.diagonal()
+            gershgorin = float((diag + abs(diag) - abs(r).sum(axis=1)).min())
+            shift = 2.0 * min(gershgorin, 0.0)
+            factor = factor_spd(r - shift * eye, context="difference weight below its spectrum")
+            upper = 0.0
+            # the bracket starts at most 2 ||R||_inf wide, and 64 halvings take it
+            # below the ~1e-16 ||R|| that the Cholesky test can resolve
+            for _ in range(64):
+                if upper - shift <= 0.01 * abs(shift):
+                    break
+                trial = 0.5 * (shift + upper)
+                try:
+                    factor = factor_spd(r - trial * eye, context="difference weight")
+                    shift = trial
+                except NotPositiveDefiniteError:
+                    upper = trial
+        inverse = LinearOperator(r.shape, matvec=factor.solve, dtype=float)
+        (lam,) = eigsh(r, k=1, sigma=shift, which="LM", OPinv=inverse, return_eigenvectors=False)
+        return float(lam)
 
     def initial(self, problem, cfg, state):
         self.assemble(problem, cfg)

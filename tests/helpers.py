@@ -9,6 +9,11 @@ from splitstep import (
     BlockVector,
     EvolutionProblem,
     ExponentialSumForcing,
+    RunLog,
+    SchemeConfig,
+    SchemeKind,
+    forcing_sample,
+    triangular_split,
 )
 
 
@@ -97,3 +102,102 @@ def scalar_problem(a=2.0, b=1.0, v0=1.0, forcing=None, T=1.0) -> EvolutionProble
         v0=BlockVector.from_parts(dims, ([v0],)),
         T=T,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense small-N oracles for the estimate observers.  They assemble every
+# operator of the two estimates as a dense matrix and solve with
+# ``np.linalg.solve``, the route the observers took before they went sparse.
+# ---------------------------------------------------------------------------
+
+
+def factorized_operator_dense(problem: EvolutionProblem, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Product and expanded dense forms of the factorized transition operator.
+
+    Product form: (B + st A1) B^{-1} (B + st A2).  Expanded form:
+    B + st A + st^2 A1 B^{-1} A2, st = sigma * tau.  Their agreement is an
+    exact operator identity, so any discrepancy beyond rounding is a bug.
+    """
+    split = triangular_split(problem.A)
+    bd = problem.B.to_dense()
+    a1 = split.lower.to_dense()
+    a2 = split.upper.to_dense()
+    st = cfg.sigma * cfg.tau
+    product = (bd + st * a1) @ np.linalg.solve(bd, bd + st * a2)
+    expanded = bd + st * problem.A.to_dense() + st**2 * (a1 @ np.linalg.solve(bd, a2))
+    return product, expanded
+
+
+def factorized_operator_identity_error(problem: EvolutionProblem, cfg: SchemeConfig) -> float:
+    """Relative entrywise gap between the product and expanded forms."""
+    product, expanded = factorized_operator_dense(problem, cfg)
+    scale = max(float(np.abs(expanded).max()), 1e-300)
+    return float(np.abs(product - expanded).max()) / scale
+
+
+def factorized_operator_psd_margin(problem: EvolutionProblem, cfg: SchemeConfig) -> float:
+    """Smallest eigenvalue of (transition operator) - (B + sigma*tau*A).
+
+    The gap equals sigma^2 tau^2 A1 B^{-1} A2, which is positive semidefinite
+    because A2 is the adjoint of A1, so the margin must not dip below
+    rounding level.
+    """
+    product, _ = factorized_operator_dense(problem, cfg)
+    st = cfg.sigma * cfg.tau
+    gap = product - problem.B.to_dense() - st * problem.A.to_dense()
+    return float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
+
+
+def dense_estimate_weight(problem: EvolutionProblem, cfg: SchemeConfig) -> np.ndarray:
+    """W of the two-level bound: B + (sigma - 1/2) tau A, plus sigma^2 tau^2 A1 B^{-1} A2
+    for the factorized scheme."""
+    bd = problem.B.to_dense()
+    w = bd + (cfg.sigma - 0.5) * cfg.tau * problem.A.to_dense()
+    if cfg.kind is SchemeKind.FACTORIZED:
+        split = triangular_split(problem.A)
+        a1, a2 = split.lower.to_dense(), split.upper.to_dense()
+        w = w + (cfg.sigma * cfg.tau) ** 2 * (a1 @ np.linalg.solve(bd, a2))
+    return 0.5 * (w + w.T)
+
+
+def dense_diff_weight(problem: EvolutionProblem, cfg: SchemeConfig) -> np.ndarray:
+    """R = (tau / (2 eps)) (C1 C2 + eps^2 I) - (tau^2/4) A of the three-level energy."""
+    a_split = triangular_split(problem.A)
+    b_split = triangular_split(problem.B)
+    st = cfg.sigma * cfg.tau
+    c1 = b_split.lower.to_dense() + st * a_split.lower.to_dense()
+    c2 = b_split.upper.to_dense() + st * a_split.upper.to_dense()
+    n = problem.dims.total
+    r = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * np.eye(n))
+    r = r - (cfg.tau**2 / 4.0) * problem.A.to_dense()
+    return 0.5 * (r + r.T)
+
+
+def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> list[float]:
+    """The estimate slack of every certified transition of a run, from dense
+    operators; the same transitions ``verify.run_slacks`` covers."""
+    a = problem.A.to_dense()
+    tau = cfg.tau
+    three_level = cfg.kind is SchemeKind.THREE_LEVEL
+    if three_level:
+        r = dense_diff_weight(problem, cfg)
+        weight = problem.B.to_dense() + cfg.sigma * tau * a
+
+        def energy(n):
+            y, y_prev = log.states[n].to_flat(), log.states[n - 1].to_flat()
+            mean, rate = 0.5 * (y + y_prev), (y - y_prev) / tau
+            return float(mean @ a @ mean) + float(rate @ r @ rate)
+
+    else:
+        weight = dense_estimate_weight(problem, cfg)
+
+        def energy(n):
+            y = log.states[n].to_flat()
+            return float(y @ a @ y)
+
+    slacks = []
+    for n in range(1 if three_level else 0, len(log.states) - 1):
+        f = forcing_sample(problem, cfg, n).to_flat()
+        bound = energy(n) + 0.5 * tau * float(f @ np.linalg.solve(weight, f))
+        slacks.append(bound - energy(n + 1))
+    return slacks

@@ -22,8 +22,6 @@ from splitstep import (
     convergence_study,
     example_coupled_spec,
     example_porosity_spec,
-    factorized_operator_identity_error,
-    factorized_operator_psd_margin,
     lincomb,
     manufactured_problem,
     reference_solution,
@@ -41,6 +39,8 @@ from splitstep.linsolve import DiagFactorization
 from splitstep.schemes import EvolutionProblem
 
 from helpers import (
+    factorized_operator_identity_error,
+    factorized_operator_psd_margin,
     random_block_diag_spd,
     random_dims,
     random_smooth_forcing,

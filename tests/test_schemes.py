@@ -314,13 +314,16 @@ class _SpyObserver(RunObserver):
     def __init__(self):
         self.initial_calls = 0
         self.transition_calls = 0
+        self.norms = []
 
     def initial(self, problem, cfg, state):
         self.initial_calls += 1
+        self.norms.append(state.norm_a)
         return {"mark": float(state.n)}
 
     def transition(self, problem, cfg, prev, new, phi):
         self.transition_calls += 1
+        self.norms.append(new.norm_a)
         return {"mark": float(new.n)}
 
 
@@ -339,6 +342,8 @@ class TestRun:
         assert spy.transition_calls == 6
         assert log.records[0].extras == {"mark": 0.0}
         assert log.records[6].extras == {"mark": 6.0}
+        # every state the hooks see carries the A-norm run records for it
+        assert spy.norms == [rec.norm_a for rec in log.records]
         assert len(log.states) == 7
         assert log.final_state is log.states[-1]
 
@@ -355,6 +360,7 @@ class TestRun:
         assert log.records[1].extras == {"mark": 1.0}
         assert spy.initial_calls == 1
         assert spy.transition_calls == 4
+        assert spy.norms == [rec.norm_a for rec in log.records[1:]]
 
     def test_norms_are_a_weighted(self):
         rng = np.random.default_rng(7)

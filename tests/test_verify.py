@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from splitstep import (
@@ -16,6 +17,7 @@ from splitstep import (
     NotPositiveDefiniteError,
     SchemeConfig,
     SchemeState,
+    SpdFactor,
     UnsupportedForcingError,
     build_coupled_diffusion,
     compare_schemes,
@@ -23,8 +25,6 @@ from splitstep import (
     convergence_study,
     example_coupled_spec,
     example_porosity_spec,
-    factorized_operator_identity_error,
-    factorized_operator_psd_margin,
     manufactured_problem,
     reference_solution,
     run,
@@ -39,10 +39,18 @@ from splitstep.verify import (
     CompareReport,
     CompareRow,
     _symmetrize_checked,
-    factorized_operator_dense,
 )
 
-from helpers import random_problem, scalar_problem
+from helpers import (
+    dense_diff_weight,
+    dense_run_slacks,
+    factorized_operator_dense,
+    factorized_operator_identity_error,
+    factorized_operator_psd_margin,
+    random_problem,
+    random_smooth_forcing,
+    scalar_problem,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -102,6 +110,23 @@ class TestTwoLevelEstimate:
         cfg = SchemeConfig("weighted", sigma=0.0, tau=2.0, n_steps=1)
         with pytest.raises(NotPositiveDefiniteError):
             observed(EstimateObserver(), prob, cfg)
+
+    def test_zero_forcing_skips_the_solve(self, monkeypatch):
+        # the default forcing of build_coupled_diffusion: the bound is the last
+        # energy itself, with no solve and not even a rounding-level term
+        prob = build_coupled_diffusion(example_coupled_spec(p=2, m=9))
+        cfg = SchemeConfig("factorized", sigma=0.75, tau=0.1, n_steps=4)
+        log = run(prob, cfg, observers=(EstimateObserver(),))
+        norms = [rec.norm_a for rec in log.records]
+        for n, rec in enumerate(log.records[1:]):
+            assert rec.extras["slack"] == norms[n] ** 2 - norms[n + 1] ** 2
+        obs = observed(EstimateObserver(), prob, cfg)
+
+        def no_solve(self, rhs, check_finite=True):
+            raise AssertionError("solved with a zero right-hand side")
+
+        monkeypatch.setattr(SpdFactor, "solve", no_solve)
+        assert obs.forcing_term(BlockVector.zeros(prob.dims)) == 0.0
 
     def test_class_and_function_agree(self):
         # the observer's streaming slack and the recomputation from a run's states
@@ -276,6 +301,75 @@ def test_one_energy_evaluation_per_level(monkeypatch, kind, sigma, diag_b):
     run(prob, cfg, observers=(obs,), keep_states=False)
     first = 1 if kind == "three_level" else 0
     assert evaluated == list(range(first, cfg.n_steps + 1))
+
+
+SPARSE_ORACLE_GRIDS = [(2, 31), (4, 255)]
+
+
+@pytest.mark.parametrize("p, m", SPARSE_ORACLE_GRIDS)
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["weighted", "factorized", "three_level"])
+def test_slacks_match_dense_oracle(kind, sigma, p, m):
+    # the streaming slacks and run_slacks against the dense weights, on the
+    # dense storage (N = 62) and the sparse one (N = 1020); relative to the
+    # initial energy, the scale of the -1e-10 slack bar
+    spec = (example_porosity_spec if kind == "three_level" else example_coupled_spec)(p=p, m=m)
+    rng = np.random.default_rng(23)
+    prob = build_coupled_diffusion(spec, forcing=random_smooth_forcing(rng, spec.dims))
+    cfg = SchemeConfig(kind, sigma=sigma, tau=1.0 / 32, n_steps=8)
+    obs = EnergyObserver() if kind == "three_level" else EstimateObserver()
+    log = run(prob, cfg, observers=(obs,))
+    first = 2 if kind == "three_level" else 1
+    streamed = [rec.extras["slack"] for rec in log.records[first:]]
+    dense = dense_run_slacks(prob, cfg, log)
+    assert len(streamed) == len(dense) == cfg.n_steps + 1 - first
+    atol = 1e-10 * obs.initial_energy
+    np.testing.assert_allclose(streamed, dense, rtol=0, atol=atol)
+    np.testing.assert_allclose(run_slacks(prob, cfg, log), dense, rtol=0, atol=atol)
+
+
+class TestSparseObservers:
+    """Above ``SPARSE_MIN_ORDER`` the observers hold sparse weights."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.25])
+    def test_diff_weight_min_eig_matches_dense(self, sigma):
+        # sigma = 1 and 1/2 give a positive definite R (shift 0), sigma = 1/4 an
+        # indefinite one (bisected shift); at tau = 0.01 cond(R) is about 4e6,
+        # so both routes resolve the eigenvalue well within 1e-10
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=255))
+        cfg = SchemeConfig("three_level", sigma=sigma, tau=0.01, n_steps=2)
+        obs = EnergyObserver()
+        obs.assemble(prob, cfg)
+        r = obs.diff_weight()
+        want_r = dense_diff_weight(prob, cfg)
+        assert sp.issparse(r)
+        assert np.abs(r.toarray() - want_r).max() <= 1e-13 * np.abs(want_r).max()
+        want = float(np.linalg.eigvalsh(want_r)[0])
+        assert obs.diff_weight_min_eig() == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "kind, sigma, spec",
+        [
+            ("weighted", 0.5, example_coupled_spec),
+            ("factorized", 0.5, example_coupled_spec),
+            ("three_level", 1.0, example_porosity_spec),
+        ],
+    )
+    def test_certified_run_at_m65535_never_densifies(self, monkeypatch, kind, sigma, spec):
+        prob = manufactured_problem(spec(p=2, m=65_535)).problem
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified above the sparse crossover")
+
+        monkeypatch.setattr(BlockOperator, "to_dense", refuse)
+        for cls in (sp.csr_array, sp.csc_array, sp.coo_array, sp.dia_array, sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cfg = SchemeConfig(kind, sigma=sigma, tau=1.0 / 128, n_steps=8)
+        obs = EnergyObserver() if kind == "three_level" else EstimateObserver()
+        run(prob, cfg, observers=(obs,), keep_states=False)
+        assert obs.min_slack >= -1e-10 * obs.initial_energy
 
 
 class TestReferenceSolution:
