@@ -4,13 +4,14 @@ A point in the state space is one contiguous read-only array of length
 ``n_1 + ... + n_p``, the components stored one after another in the order of
 ``sizes = (n_1, ..., n_p)``; ``BlockVector.parts`` gives per-component views
 of it.  Linear operators are p-by-p grids of matrix blocks; a missing block
-acts as an exact zero.  Blocks may be dense ndarrays or CSR sparse arrays.
-The schemes only ever invert the diagonal blocks, which is why the blockwise
-storage is kept explicit; everything that acts on the whole space
-(``apply``, norms, densification) goes through one CSR matrix that each
-operator assembles once.  ``certify`` checks the symmetric positive
-definiteness the schemes assume: a blockwise symmetry check and a Cholesky
-factorization that succeeds, at every size.
+acts as an exact zero.  Every block is stored as a CSR sparse array, whatever
+it was given as.  The schemes only ever invert the diagonal blocks, which is
+why the blockwise structure is kept explicit; everything that acts on the
+whole space (``apply``, norms, the symmetry defect, densification) goes
+through one CSR matrix that each operator assembles once.  Whether a matrix
+is solved dense or banded is ``linsolve.factor_spd``'s choice alone.
+``certify`` checks the symmetric positive definiteness the schemes assume:
+a symmetry check and a Cholesky factorization that succeeds, at every size.
 """
 
 from __future__ import annotations
@@ -32,42 +33,17 @@ class CertificateError(ValueError):
     """A claimed operator property (symmetry, positive definiteness) fails."""
 
 
-# Blocks and matrices of this order and above are kept sparse and factored
-# banded (``linsolve.factor_spd``); smaller ones are dense, where sparse
-# arithmetic costs more in call overhead than it saves.  Measured on one core
-# of a shared 2-core Xeon (OpenBLAS 0.3.31, scipy 1.17.1) for tridiagonal
-# matrices: a banded solve beats ``cho_solve`` at every order from 16 up
-# (2.4 us against 15 us at n = 62), but building the band storage and
-# factoring costs 50-80 us against 25 us for a dense factor at n = 62; the
-# two factorizations cost the same near n = 127.  Above this order the band
-# wins for every bandwidth: at n = 1024 with bandwidth n - 1 it still factors
-# in 15 ms against 22 ms dense and solves in 0.36 ms against 0.9 ms.  So the
-# bandwidth only chooses the ordering, never the dense path.  Keeping small
-# matrices dense also keeps the N = 62 problems bit-for-bit on the dense
-# LAPACK path the test oracles use.
-SPARSE_MIN_ORDER = 128
-
-
-def _as_block(value, shape) -> np.ndarray | sp.csr_array:
+def _as_block(value, shape) -> sp.csr_array:
     if sp.issparse(value):
         block = sp.csr_array(value)
     else:
-        block = np.asarray(value, dtype=float)
-        if block.ndim != 2:
-            raise DimensionMismatchError(f"block must be 2-D, got ndim={block.ndim}")
+        dense = np.asarray(value, dtype=float)
+        if dense.ndim != 2:
+            raise DimensionMismatchError(f"block must be 2-D, got ndim={dense.ndim}")
+        block = sp.csr_array(dense)
     if block.shape != shape:
         raise DimensionMismatchError(f"block shape {block.shape} != expected {shape}")
     return block
-
-
-def _block_absmax(block) -> float:
-    if sp.issparse(block):
-        return float(np.abs(block.data).max()) if block.nnz else 0.0
-    return float(np.abs(block).max()) if block.size else 0.0
-
-
-def _block_dense(block) -> np.ndarray:
-    return block.toarray() if sp.issparse(block) else block
 
 
 def _csr_rows(csr) -> np.ndarray:
@@ -75,8 +51,8 @@ def _csr_rows(csr) -> np.ndarray:
     return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
-def _block_t(block):
-    return sp.csr_array(block.T) if sp.issparse(block) else block.T
+def _data_absmax(csr) -> float:
+    return float(np.abs(csr.data).max()) if csr.nnz else 0.0
 
 
 @dataclass(frozen=True)
@@ -195,7 +171,7 @@ class BlockOperator:
     """
 
     dims: BlockDims
-    blocks: Mapping[tuple[int, int], "np.ndarray | sp.csr_array"]
+    blocks: Mapping[tuple[int, int], sp.csr_array]
 
     def __post_init__(self):
         p = self.dims.p
@@ -208,17 +184,12 @@ class BlockOperator:
 
     @classmethod
     def identity(cls, dims: BlockDims, scale: float = 1.0) -> "BlockOperator":
-        """Scaled identity; blocks of order ``SPARSE_MIN_ORDER`` and above are sparse."""
-        return cls(
-            dims,
-            {
-                (a, a): scale * (np.eye(n) if n < SPARSE_MIN_ORDER else sp.identity(n, format="csr"))
-                for a, n in enumerate(dims.sizes)
-            },
-        )
+        """Scaled identity."""
+        return cls(dims, {(a, a): scale * sp.eye_array(n, format="csr") for a, n in enumerate(dims.sizes)})
 
     @classmethod
-    def from_dense(cls, dims: BlockDims, dense: np.ndarray, drop_zero: bool = True) -> "BlockOperator":
+    def from_dense(cls, dims: BlockDims, dense: np.ndarray) -> "BlockOperator":
+        """The operator of a dense matrix; blocks that are exactly zero are dropped."""
         dense = np.asarray(dense, dtype=float)
         if dense.shape != (dims.total, dims.total):
             raise DimensionMismatchError(f"dense shape {dense.shape} != {(dims.total, dims.total)}")
@@ -227,9 +198,8 @@ class BlockOperator:
         for a in range(dims.p):
             for b in range(dims.p):
                 blk = dense[off[a] : off[a + 1], off[b] : off[b + 1]]
-                if drop_zero and not blk.any():
-                    continue
-                blocks[(a, b)] = blk.copy()
+                if blk.any():
+                    blocks[(a, b)] = blk
         return cls(dims, blocks)
 
     def block(self, a: int, b: int):
@@ -240,7 +210,7 @@ class BlockOperator:
         return BlockVector._own(self.dims, self._matrix @ x.to_flat())
 
     def transpose(self) -> "BlockOperator":
-        return BlockOperator(self.dims, {(b, a): _block_t(blk) for (a, b), blk in self.blocks.items()})
+        return BlockOperator(self.dims, {(b, a): blk.T for (a, b), blk in self.blocks.items()})
 
     def to_dense(self) -> np.ndarray:
         return self._matrix.toarray()
@@ -254,22 +224,17 @@ class BlockOperator:
         """The CSR matrix of the whole operator; private, since callers may
         change what ``to_sparse`` hands out.
 
-        Built from the blocks' coordinates: ``sp.bmat`` fails on a grid of
-        equal-shaped dense blocks, drops a block row that holds no block, and
-        its format conversions cost several times more at small orders.
+        Built from the blocks' coordinates: ``sp.bmat`` drops a block row that
+        holds no block, and its format conversions cost several times more at
+        small orders.
         """
         off = self.dims.offsets
         n = self.dims.total
         rows, cols, vals = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for (a, b), blk in self.blocks.items():
-            if sp.issparse(blk):
-                r, c, v = _csr_rows(blk), blk.indices, blk.data
-            else:
-                r, c = np.nonzero(blk)
-                v = blk[r, c]
-            rows.append(r + off[a])
-            cols.append(c + off[b])
-            vals.append(v)
+            rows.append(_csr_rows(blk) + off[a])
+            cols.append(blk.indices + off[b])
+            vals.append(blk.data)
         r, c = np.concatenate(rows), np.concatenate(cols)
         order = np.lexsort((c, r))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
@@ -283,8 +248,11 @@ class BlockOperator:
 
     @cached_property
     def _absmax(self) -> float:
-        data = self._matrix.data
-        return float(np.abs(data).max()) if data.size else 0.0
+        return _data_absmax(self._matrix)
+
+    @cached_property
+    def _symmetry_defect(self) -> float:
+        return _data_absmax(self._matrix - self._matrix.T)
 
     def norm_inf(self) -> float:
         """Infinity norm (largest absolute row sum)."""
@@ -349,34 +317,13 @@ def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator) -> BlockOper
             blk = a * mb
         else:
             blk = a * mb + b * nb
-            if not sp.issparse(blk):
-                blk = np.asarray(blk)
         blocks[key] = blk
     return BlockOperator(M.dims, blocks)
 
 
 def symmetry_defect(M: BlockOperator) -> float:
-    """max |M - M^T| over all entries, computed blockwise."""
-    defect = 0.0
-    for a in range(M.dims.p):
-        for b in range(a, M.dims.p):
-            blk = M.blocks.get((a, b))
-            mirror = M.blocks.get((b, a))
-            if blk is None and mirror is None:
-                continue
-            if max(M.dims.sizes[a], M.dims.sizes[b]) < SPARSE_MIN_ORDER:
-                lhs = _block_dense(blk) if blk is not None else 0.0
-                rhs = _block_dense(mirror).T if mirror is not None else 0.0
-                diff = lhs - rhs
-            elif mirror is None:
-                diff = blk
-            elif blk is None:
-                diff = mirror
-            else:
-                # sparse minus sparse stays sparse, so no block is densified
-                diff = blk - _block_t(mirror)
-            defect = max(defect, _block_absmax(diff))
-    return defect
+    """max |M - M^T| over all entries; cached, since the operator is frozen."""
+    return M._symmetry_defect
 
 
 def _require_symmetric(M: BlockOperator, tol_sym: float, context: str):
@@ -415,12 +362,12 @@ def triangular_split(M: BlockOperator, tol_sym: float = 1e-12) -> TriangularPair
 def certify(M: BlockOperator, tol_sym: float = 1e-12, context: str = "operator") -> None:
     """Certify that M is symmetric positive definite, or raise ``CertificateError``.
 
-    Symmetry is checked blockwise against ``tol_sym`` times the largest
-    entry.  Positive definiteness is certified by a Cholesky factorization
-    that succeeds, the same ``linsolve.factor_spd`` the schemes use (dense
-    below ``SPARSE_MIN_ORDER``, banded above), so the check costs O(N) for
-    banded operators at every size.  A failure names ``context`` and gives
-    either the symmetry defect or the first non-positive leading minor.
+    Symmetry is checked against ``tol_sym`` times the largest entry.
+    Positive definiteness is certified by a Cholesky factorization that
+    succeeds, the same ``linsolve.factor_spd`` the schemes use, so the check
+    costs O(N) for banded operators at every size.  A failure names
+    ``context`` and gives either the symmetry defect or the first
+    non-positive leading minor.
     """
     # imported here: linsolve imports this module
     from .linsolve import NotPositiveDefiniteError, factor_spd
@@ -480,7 +427,7 @@ def read_coo_matrix(path: str) -> sp.csr_array:
 
 
 def write_coo_matrix(path: str, block) -> None:
-    coo = sp.coo_array(block) if sp.issparse(block) else sp.coo_array(np.asarray(block, dtype=float))
+    coo = sp.coo_array(block)
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")

@@ -9,9 +9,11 @@ Four subcommands, each driven by an INI config file:
 
 Exit code 0 means every asserted check passed, 1 means a check failed or a
 run broke down, 2 means the configuration or problem data were invalid.
-A run that breaks down (``RunStepError`` or ``SolveFailureError``) ends the
-command with one ``error:`` line, except in ``stability``, which marks the
-cell ``fail`` and goes on.  The sweep runs its cells one after another.
+A run that breaks down (``RunStepError``, ``SolveFailureError``, or a
+``NotPositiveDefiniteError`` from factoring an operator that is positive
+definite in exact arithmetic, such as an ill-conditioned estimate weight)
+ends the command with one ``error:`` line, except in ``stability``, which
+marks the cell ``fail`` and goes on.  The sweep runs its cells one after another.
 """
 
 from __future__ import annotations
@@ -507,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cp = _load_ini(args.config)
         config_dir = os.path.dirname(os.path.abspath(args.config))
         return _COMMANDS[args.command](args, cp, config_dir)
-    except (RunStepError, SolveFailureError) as err:
+    except (RunStepError, SolveFailureError, NotPositiveDefiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (
@@ -515,7 +517,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         configparser.Error,
         CertificateError,
         SchemeInapplicableError,
-        NotPositiveDefiniteError,
         OSError,
     ) as err:
         print(f"config error: {err}", file=sys.stderr)

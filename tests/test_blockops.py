@@ -10,6 +10,7 @@ from splitstep import (
     CertificateError,
     DimensionMismatchError,
     certify,
+    example_coupled_spec,
     laplacian_1d,
     laplacian_min_eig,
     lincomb,
@@ -19,7 +20,6 @@ from splitstep import (
     weighted_norm,
 )
 from splitstep.blockops import (
-    SPARSE_MIN_ORDER,
     read_block_operator,
     read_block_vector,
     read_coo_matrix,
@@ -27,6 +27,8 @@ from splitstep.blockops import (
     write_block_vector,
     write_coo_matrix,
 )
+from splitstep.linsolve import SPARSE_MIN_ORDER
+from splitstep.problems import assemble_operators
 
 from helpers import random_dims, random_spd, random_symmetric, random_vector
 
@@ -139,7 +141,7 @@ class TestBlockOperator:
 
     def test_identity_blocks_sparse_from_crossover(self):
         I = BlockOperator.identity(BlockDims((SPARSE_MIN_ORDER - 1, SPARSE_MIN_ORDER)), scale=3.0)
-        assert not sp.issparse(I.block(0, 0)) and sp.issparse(I.block(1, 1))
+        assert all(isinstance(I.block(a, a), sp.csr_array) for a in range(2))
         np.testing.assert_array_equal(I.to_dense(), 3.0 * np.eye(2 * SPARSE_MIN_ORDER - 1))
 
     def test_norm_inf_matches_dense(self):
@@ -158,9 +160,6 @@ class TestBlockOperator:
         M = BlockOperator.from_dense(dims, dense)
         assert set(M.blocks) == {(0, 0), (1, 1)}
         np.testing.assert_array_equal(M.to_dense(), dense)
-        # keep explicit zero blocks when asked
-        M_full = BlockOperator.from_dense(dims, dense, drop_zero=False)
-        assert set(M_full.blocks) == {(a, b) for a in range(2) for b in range(2)}
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -294,6 +293,20 @@ class TestSymmetryDefect:
             dense = noisy.to_dense()
             assert symmetry_defect(noisy) == np.abs(dense - dense.T).max()
 
+    @pytest.mark.parametrize("n", [SPARSE_MIN_ORDER - 1, SPARSE_MIN_ORDER])
+    def test_matches_dense_on_both_sides_of_128(self, n):
+        rng = np.random.default_rng(52 + n)
+        dims = BlockDims((n, n))
+        dense = rng.standard_normal((2 * n, 2 * n))
+        dense[rng.random(dense.shape) < 0.9] = 0.0
+        assert symmetry_defect(BlockOperator.from_dense(dims, dense)) == np.abs(dense - dense.T).max()
+        # a NaN above the diagonal only, in a diagonal and in an off-diagonal block
+        for i, j in ((0, 1), (1, 2 * n - 1)):
+            marked = dense.copy()
+            marked[i, j] = np.nan
+            assert np.isnan(np.abs(marked - marked.T).max())
+            assert np.isnan(symmetry_defect(BlockOperator.from_dense(dims, marked)))
+
     def test_sparse_blocks_are_not_densified(self, monkeypatch):
         m = 65_535
         lap = laplacian_1d(m)
@@ -306,6 +319,31 @@ class TestSymmetryDefect:
         monkeypatch.setattr(sp.csr_array, "toarray", refuse)
         assert symmetry_defect(M) == m - 2.0
         triangular_split(lincomb(1.0, M, 1.0, M.transpose()))
+
+
+class TestSingleStorage:
+    """Every block is a CSR array, however the operator was built."""
+
+    def test_every_constructor_stores_csr(self, tmp_path):
+        rng = np.random.default_rng(51)
+        dims = BlockDims((3, 4))
+        x = rng.standard_normal((dims.total, dims.total))
+        S = x + x.T
+        M = BlockOperator.from_dense(dims, S)
+        orders = (1, SPARSE_MIN_ORDER - 1, SPARSE_MIN_ORDER)
+        ops = {f"identity {n}": BlockOperator.identity(BlockDims((n,))) for n in orders}
+        ops["ndarray dict"] = BlockOperator(dims, {(0, 0): S[:3, :3], (1, 0): S[3:, :3], (1, 1): S[3:, 3:]})
+        ops["from_dense"] = M
+        ops["lincomb"] = lincomb(1.0, M, 2.0, BlockOperator.identity(dims))
+        ops["transpose"] = M.transpose()
+        split = triangular_split(M)
+        ops["split lower"], ops["split upper"] = split.lower, split.upper
+        ops["assembled A"], ops["assembled B"] = assemble_operators(example_coupled_spec(p=2, m=31))
+        write_block_operator(M, str(tmp_path / "m.manifest"))
+        ops["manifest"] = read_block_operator(str(tmp_path / "m.manifest"))
+        for name, op in ops.items():
+            assert op.blocks, name
+            assert all(type(blk) is sp.csr_array for blk in op.blocks.values()), name
 
 
 class TestTriangularSplit:

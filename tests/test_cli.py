@@ -245,6 +245,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: transition 45 -> 46 produced a non-finite level (A-norm inf)\n"
 
+    def test_estimate_weight_that_does_not_factor_is_a_run_error(self, tmp_path, capsys):
+        # W is positive definite in exact arithmetic, but at this size and
+        # step cond(W) is past 1/eps and its band Cholesky meets a
+        # non-positive pivot: the config is valid, so this is exit 1
+        config = write_config(
+            tmp_path,
+            MANUFACTURED_RUN.replace("m = 9", "m = 32767")
+            .replace("kind = weighted", "kind = factorized")
+            .replace("sigma = 0.5", "sigma = 1")
+            .replace("tau = 1/64", "tau = 1"),
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: estimate weight: not positive definite")
+
 
 class TestProblemKind:
     # coupled_diffusion and double_porosity share one builder; the kind only

@@ -25,8 +25,8 @@ from splitstep import (
     triangular_split,
     zero_forcing,
 )
-from splitstep.blockops import SPARSE_MIN_ORDER, DimensionMismatchError
-from splitstep.linsolve import BlockStructureError
+from splitstep.blockops import DimensionMismatchError
+from splitstep.linsolve import SPARSE_MIN_ORDER, BlockStructureError
 
 from helpers import random_block_diag_spd, random_dims, random_spd, random_vector
 
@@ -229,7 +229,7 @@ class TestBandedPath:
         dims = BlockDims(sizes)
         S = _banded_spd(rng, dims.total, 2).toarray()
         A = BlockOperator.from_dense(dims, S)
-        assert len(A.blocks) == dims.p**2 and not any(sp.issparse(blk) for blk in A.blocks.values())
+        assert len(A.blocks) == dims.p**2 and all(isinstance(blk, sp.csr_array) for blk in A.blocks.values())
         rhs = rng.standard_normal(dims.total)
         want = np.linalg.solve(S, rhs)
         assert np.abs(factor_spd(A).solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()

@@ -33,7 +33,8 @@ from splitstep import (
     weighted_step,
     zero_forcing,
 )
-from splitstep.blockops import SPARSE_MIN_ORDER, DimensionMismatchError
+from splitstep.blockops import DimensionMismatchError
+from splitstep.linsolve import SPARSE_MIN_ORDER
 from splitstep.schemes import FactorizedWorkspace, ThreeLevelWorkspace, WeightedWorkspace
 
 from helpers import (
@@ -235,9 +236,7 @@ class TestFactorizedStep:
         ws = prepare(prob, cfg)
         assert isinstance(ws, FactorizedWorkspace)
         for a in range(prob.dims.p):
-            np.testing.assert_array_equal(
-                np.asarray(ws.lower.block(a, a)), np.asarray(ws.upper.block(a, a))
-            )
+            np.testing.assert_array_equal(ws.lower.block(a, a).toarray(), ws.upper.block(a, a).toarray())
 
 
 class TestThreeLevelScheme:
@@ -436,12 +435,12 @@ class TestBandedSchemes:
     """Above the band crossover every scheme runs on band factors."""
 
     def test_identity_blocks_follow_the_crossover(self):
-        for m, sparse in ((31, False), (SPARSE_MIN_ORDER, True)):
+        for m, banded in ((31, False), (SPARSE_MIN_ORDER, True)):
             prob = manufactured_problem(example_porosity_spec(p=2, m=m)).problem
             ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
             for op in (ws.c1_plus, ws.c2_plus, ws.c1_minus, ws.c2_minus):
-                assert all(sp.issparse(op.block(a, a)) == sparse for a in range(2))
-            assert all((f.bandwidth is not None) == sparse for f in ws.diag.factors)
+                assert all(isinstance(blk, sp.csr_array) for blk in op.blocks.values())
+            assert all((f.bandwidth is not None) == banded for f in ws.diag.factors)
 
     def test_sigma_zero_coincidence_at_m300(self):
         # with sigma = 0 the factorized operator B B^{-1} B is B itself, so
