@@ -11,7 +11,8 @@ whole space (``apply``, norms, the symmetry defect, densification) goes
 through one CSR matrix that each operator assembles once.  Whether a matrix
 is solved dense or banded is ``linsolve.factor_spd``'s choice alone.
 ``certify`` checks the symmetric positive definiteness the schemes assume:
-a symmetry check and a Cholesky factorization that succeeds, at every size.
+a symmetry check and a Cholesky (or, when tridiagonal, LDL^T) factorization
+that succeeds, at every size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -290,14 +291,19 @@ def weighted_inner(D: BlockOperator, x: BlockVector, y: BlockVector) -> float:
     return D.apply(x).dot(y)
 
 
-def weighted_norm(D: BlockOperator, x: BlockVector) -> float:
+def weighted_norm(D: BlockOperator, x: BlockVector, d_x: Optional[BlockVector] = None) -> float:
     """Norm sqrt((D x, x)) for symmetric positive definite D.
 
-    A quadratic form that comes out negative beyond rounding noise means the
-    claimed definiteness of D is wrong, which is reported instead of silently
+    ``d_x`` is the product D x, when the caller already has it.  A quadratic
+    form that comes out negative beyond rounding noise means the claimed
+    definiteness of D is wrong, which is reported instead of silently
     returning nan.
     """
-    q = weighted_inner(D, x, x)
+    if d_x is None:
+        d_x = D.apply(x)
+    else:
+        _check_same_dims(D.dims, d_x.dims)
+    q = d_x.dot(x)
     scale = D.absmax() * max(x.dot(x), 1.0)
     if q < -1e-12 * max(scale, 1e-300):
         raise CertificateError(f"quadratic form (Dx,x) = {q:.3e} negative for claimed-SPD operator")
@@ -363,9 +369,10 @@ def certify(M: BlockOperator, tol_sym: float = 1e-12, context: str = "operator")
     """Certify that M is symmetric positive definite, or raise ``CertificateError``.
 
     Symmetry is checked against ``tol_sym`` times the largest entry.
-    Positive definiteness is certified by a Cholesky factorization that
-    succeeds, the same ``linsolve.factor_spd`` the schemes use, so the check
-    costs O(N) for banded operators at every size.  A failure names
+    Positive definiteness is certified by a Cholesky (or, for a tridiagonal
+    band, LDL^T) factorization with positive pivots, the same
+    ``linsolve.factor_spd`` the schemes use, so the check costs O(N) for
+    banded operators at every size.  A failure names
     ``context`` and gives either the symmetry defect or the first
     non-positive leading minor.
     """

@@ -58,6 +58,7 @@ from .verify import (
     EstimateObserver,
     compare_schemes,
     convergence_study,
+    steps_for,
 )
 
 logger = logging.getLogger(__name__)
@@ -322,18 +323,35 @@ def cmd_run(args, cp, config_dir: str) -> int:
     return status
 
 
+def _ladder_taus(cp, T: float) -> list[float]:
+    """The ``[scheme] taus`` ladder: two or more distinct steps, each dividing T.
+
+    Checked before the study starts, so that only a bad ladder is a config
+    error; a factorization that fails inside the study is a run error.
+    """
+    taus = _parse_numbers(_require(cp, "scheme", "taus"), "[scheme] taus")
+    if len(taus) < 2:
+        raise ConfigError("[scheme] taus needs at least two step sizes")
+    if len(set(taus)) < len(taus):
+        raise ConfigError("[scheme] taus: a step size is repeated")
+    for tau in taus:
+        try:
+            steps_for(T, tau)
+        except ValueError as err:
+            raise ConfigError(f"[scheme] taus: {err}") from err
+    return taus
+
+
 def cmd_converge(args, cp, config_dir: str) -> int:
     problem = build_problem(cp, config_dir)
     kind = _scheme_kind(cp)
     sigma, epsilon = _scheme_scalars(cp)
-    taus = _parse_numbers(_require(cp, "scheme", "taus"), "[scheme] taus")
-    if len(taus) < 2:
-        raise ConfigError("[scheme] taus needs at least two step sizes")
+    taus = _ladder_taus(cp, problem.T)
     base = _make_config(kind, sigma, max(taus), 1, epsilon)
     try:
         report = convergence_study(problem, base, taus)
-    except ValueError as err:
-        raise ConfigError(f"[scheme] taus: {err}") from err
+    except SchemeInapplicableError as err:
+        raise ConfigError(f"[problem]: {err}") from err
 
     rows = [[row.tau, row.error_a, row.order] for row in report.rows]
     path = _out_path(args, cp, "converge.csv")
@@ -424,16 +442,12 @@ def cmd_stability(args, cp, config_dir: str) -> int:
 def cmd_compare(args, cp, config_dir: str) -> int:
     problem = build_problem(cp, config_dir)
     sigma, epsilon = _scheme_scalars(cp)
-    taus = _parse_numbers(_require(cp, "scheme", "taus"), "[scheme] taus")
-    if len(taus) < 2:
-        raise ConfigError("[scheme] taus needs at least two step sizes")
+    taus = _ladder_taus(cp, problem.T)
     base = _make_config(SchemeKind.WEIGHTED, sigma, max(taus), 1, epsilon)
     try:
         report = compare_schemes(problem, base, taus)
     except SchemeInapplicableError as err:
         raise ConfigError(f"[problem]: {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"[scheme] taus: {err}") from err
 
     ratios = (None,) + report.max_diff_ratios
     rows = [

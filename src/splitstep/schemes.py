@@ -161,9 +161,10 @@ class SchemeState:
     """Discrete state after n transitions: y approximates u(n * tau).
 
     ``y_prev`` is carried only by the three-level scheme from level 1 on.
-    ``norm_a`` is ||y||_A where ``run`` has measured it: every state that
-    ``run`` hands its observers carries it, the step functions' own results
-    do not.
+    ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``run`` has
+    measured them: every state that ``run`` hands its observers and its step
+    functions carries both, the step functions' own results do not.  A step
+    reuses ``a_y`` for its residual instead of applying A again.
     """
 
     n: int
@@ -171,6 +172,7 @@ class SchemeState:
     y: BlockVector
     y_prev: Optional[BlockVector] = None
     norm_a: Optional[float] = None
+    a_y: Optional[BlockVector] = None
 
 
 def forcing_sample(problem: EvolutionProblem, cfg: SchemeConfig, n: int) -> BlockVector:
@@ -255,10 +257,14 @@ def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
     return _prepare_three_level(problem, cfg)
 
 
+def _a_y(problem: EvolutionProblem, state: SchemeState) -> BlockVector:
+    return problem.A.apply(state.y) if state.a_y is None else state.a_y
+
+
 def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> BlockVector:
     if phi is None:
         phi = forcing_sample(problem, cfg, state.n)
-    return cfg.tau * (phi - problem.A.apply(state.y))
+    return cfg.tau * (phi - _a_y(problem, state))
 
 
 def weighted_step(
@@ -336,7 +342,7 @@ def three_level_step(
     if phi is None:
         phi = forcing_sample(problem, cfg, state.n)
     two_eps_tau = 2.0 * cfg.epsilon * cfg.tau
-    psi = two_eps_tau * (phi - problem.A.apply(state.y))
+    psi = two_eps_tau * (phi - _a_y(problem, state))
     psi = psi + workspace.c1_plus.apply(workspace.c2_plus.apply(state.y))
     diff = state.y - state.y_prev
     psi = psi + workspace.c1_minus.apply(workspace.c2_minus.apply(diff))
@@ -416,8 +422,18 @@ def run(
     records: list[RunRecord] = []
     states: list[BlockVector] = []
 
+    def with_product(state: SchemeState) -> SchemeState:
+        """The state with A y and its A-norm attached.
+
+        The one product with A per level: the next transition's residual
+        reuses it.
+        """
+        a_y = problem.A.apply(state.y)
+        norm_a = weighted_norm(problem.A, state.y, a_y)
+        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a, a_y)
+
     def measured(state: SchemeState) -> SchemeState:
-        """A new level with its A-norm attached; the divergence guard.
+        """A new level with A y and its A-norm attached; the divergence guard.
 
         The per-step solves do not scan their inputs.  A has a positive
         diagonal, so a non-finite entry gives a non-finite norm, and so does
@@ -426,20 +442,20 @@ def run(
         observer sees it.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            norm_a = weighted_norm(problem.A, state.y)
-        if not np.isfinite(norm_a):
+            state = with_product(state)
+        if not np.isfinite(state.norm_a):
             raise RunStepError(
-                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
+                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {state.norm_a})",
                 step=state.n - 1,
             )
-        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a)
+        return state
 
     def record(state: SchemeState, extras: dict):
         records.append(RunRecord(state.n, state.t, state.norm_a, extras))
         if keep_states:
             states.append(state.y)
 
-    state = SchemeState(0, 0.0, problem.v0, norm_a=weighted_norm(problem.A, problem.v0))
+    state = with_product(SchemeState(0, 0.0, problem.v0))
     remaining = cfg.n_steps
     if cfg.kind is SchemeKind.THREE_LEVEL:
         record(state, {})

@@ -387,7 +387,10 @@ class ConvergenceReport:
         return self.rows[-1].order
 
 
-def _steps_for(T: float, tau: float) -> int:
+def steps_for(T: float, tau: float) -> int:
+    """Number of steps of size tau over [0, T]; ValueError unless tau divides T."""
+    if not tau > 0.0:
+        raise ValueError(f"tau={tau} must be positive")
     n = round(T / tau)
     if n < 1 or abs(n * tau - T) > 1e-9 * T:
         raise ValueError(f"tau={tau} does not divide the horizon T={T}")
@@ -415,7 +418,7 @@ def convergence_study(
     rows: list[ConvergenceRow] = []
     prev_tau = prev_err = None
     for tau in taus:
-        n = _steps_for(problem.T, tau)
+        n = steps_for(problem.T, tau)
         log = run(problem, replace(cfg_base, tau=tau, n_steps=n), keep_states=True)
         err = weighted_norm(problem.A, log.final_state - reference)
         order = None
@@ -459,7 +462,7 @@ def compare_schemes(
     taus = sorted((float(t) for t in taus), reverse=True)
     rows: list[CompareRow] = []
     for tau in taus:
-        n = _steps_for(problem.T, tau)
+        n = steps_for(problem.T, tau)
         cfg_w = replace(cfg_base, kind=SchemeKind.WEIGHTED, tau=tau, n_steps=n)
         cfg_f = replace(cfg_base, kind=SchemeKind.FACTORIZED, tau=tau, n_steps=n)
         log_w = run(problem, cfg_w, keep_states=True)

@@ -25,6 +25,7 @@ from splitstep import (
     write_block_vector,
 )
 from splitstep.cli import ConfigError, _parse_number, _parse_numbers, _parse_table, main
+from splitstep.linsolve import NotPositiveDefiniteError
 
 from helpers import random_block_diag_spd, random_spd, random_vector
 
@@ -53,6 +54,13 @@ MANUFACTURED_RUN = """\
     tau = 1/64
     T = 1.0
 """
+
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _failing_factor(matrix, context="matrix"):
+    raise NotPositiveDefiniteError(f"{context}: not positive definite, leading minor 7 is not positive", pivot=7)
 
 
 class TestParsing:
@@ -371,6 +379,20 @@ class TestConvergeCommand:
         assert main(["converge", "--config", config, "--out", str(tmp_path)]) == 2
         assert "does not divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            # a repeated step gives no order (log 1 = 0) and no gap ratio
+            ("1/4 0.25 1/8", "a step size is repeated"),
+            ("1/4 0", "tau=0.0 must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["converge", "compare"])
+    def test_bad_ladder_is_config_error(self, tmp_path, capsys, command, taus, message):
+        config = write_config(tmp_path, CONVERGE_BASE.replace("taus = 1/4 1/8 1/16", f"taus = {taus}"))
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: [scheme] taus: {message}\n"
+
     def test_sub_threshold_sigma_warns_once(self, tmp_path, caplog):
         # one warning per command, not one per step size of the ladder
         text = CONVERGE_BASE.replace("sigma = 0.5", "sigma = 0.25")
@@ -388,6 +410,15 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: transition 45 -> 46 produced a non-finite level") and err.count("\n") == 1
         assert not (tmp_path / "converge.csv").exists()
+
+    def test_failed_factorization_is_a_run_error(self, tmp_path, monkeypatch, capsys):
+        # the ladder is valid, so a factorization that fails inside the
+        # study is a run breakdown (exit 1), not a config error
+        monkeypatch.setattr(splitstep.schemes, "factor_spd", _failing_factor)
+        config = str(SHIPPED_CONFIGS / "converge_weighted.ini")
+        assert main(["converge", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: B + sigma*tau*A: not positive definite, leading minor 7 is not positive\n"
 
 
 STABILITY_WEIGHTED = """\
@@ -540,6 +571,13 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: transition 45 -> 46 produced a non-finite level") and err.count("\n") == 1
         assert not (tmp_path / "compare.csv").exists()
+
+    def test_failed_factorization_is_a_run_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(splitstep.schemes, "factor_spd", _failing_factor)
+        config = str(SHIPPED_CONFIGS / "compare_schemes.ini")
+        assert main(["compare", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: B + sigma*tau*A: not positive definite, leading minor 7 is not positive\n"
 
 
 class TestMatrixFilesProblem:

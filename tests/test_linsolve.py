@@ -199,10 +199,14 @@ class TestBandedPath:
         G = _banded_spd(rng, n, kd)
         factor = factor_spd(G)
         assert factor.bandwidth == kd and factor.perm is None
-        rhs = rng.standard_normal(n)
-        want = np.linalg.solve(G.toarray(), rhs)
-        got = factor.solve(rhs)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # bandwidth 0 and 1 take the tridiagonal LDL^T route: D and the
+        # subdiagonal of L in two rows; wider bands kd + 1 rows of Cholesky
+        assert factor.chol_lower.shape == (max(kd, 1) + 1, n)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            want = np.linalg.solve(G.toarray(), rhs)
+            got = factor.solve(rhs)
+            assert got.shape == rhs.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_dense_input_above_crossover(self):
         rng = np.random.default_rng(12)
@@ -220,6 +224,31 @@ class TestBandedPath:
         assert dense_info > 0
         with pytest.raises(NotPositiveDefiniteError, match="band block") as exc_info:
             factor_spd(G, context="band block")
+        assert exc_info.value.pivot == dense_info
+
+    def test_tridiagonal_route_after_reordering(self):
+        # a tridiagonal matrix with its unknowns shuffled: reverse
+        # Cuthill-McKee finds the path again and the LDL^T route takes it
+        rng = np.random.default_rng(23)
+        n = 300
+        shuffle = rng.permutation(n)
+        G = _banded_spd(rng, n, 1)[shuffle][:, shuffle]
+        factor = factor_spd(G)
+        assert factor.perm is not None and factor.bandwidth == 1
+        dense = G.toarray()
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            want = np.linalg.solve(dense, rhs)
+            assert np.abs(factor.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_tridiagonal_pivot_index_matches_dense(self):
+        rng = np.random.default_rng(24)
+        G = _banded_spd(rng, 400, 1).tolil()
+        G[257, 257] = -5.0
+        G = sp.csr_array(G)
+        _, dense_info = lapack.dpotrf(G.toarray(), lower=1)
+        assert dense_info > 0
+        with pytest.raises(NotPositiveDefiniteError, match="tridiagonal block") as exc_info:
+            factor_spd(G, context="tridiagonal block")
         assert exc_info.value.pivot == dense_info
 
     @pytest.mark.parametrize("sizes", [(200,), (64, 64)])

@@ -371,6 +371,43 @@ class TestRun:
         for rec, y in zip(log.records, log.states):
             assert rec.norm_a == pytest.approx(weighted_norm(prob.A, y), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "kind, sigma, diag_b", [("weighted", 0.75, False), ("factorized", 0.5, True), ("three_level", 1.0, False)]
+    )
+    def test_one_product_with_a_per_level(self, monkeypatch, kind, sigma, diag_b):
+        # run's guard computes A y once per level and the next transition's
+        # residual reuses it; only the three-level startup step makes its own
+        prob = random_problem(np.random.default_rng(21), diag_b=diag_b)
+        cfg = SchemeConfig(kind, sigma=sigma, tau=0.05, n_steps=6)
+        # the same levels from bare step calls, whose states carry no product
+        if kind == "three_level":
+            state = three_level_init(prob, cfg)
+            bare = [prob.v0, state.y]
+        else:
+            state = SchemeState(0, 0.0, prob.v0)
+            bare = [prob.v0]
+        step = {"weighted": weighted_step, "factorized": factorized_step, "three_level": three_level_step}[kind]
+        while state.n < cfg.n_steps:
+            state = step(prob, cfg, state)
+            assert state.a_y is None
+            bare.append(state.y)
+
+        products = []
+        real_apply = BlockOperator.apply
+
+        def counting_apply(self, x):
+            if self is prob.A:
+                products.append(x)
+            return real_apply(self, x)
+
+        monkeypatch.setattr(BlockOperator, "apply", counting_apply)
+        log = run(prob, cfg)
+        startup = 1 if kind == "three_level" else 0
+        assert len(products) == cfg.n_steps + 1 + startup
+        assert len(log.states) == len(bare)
+        for got, want in zip(log.states, bare):
+            np.testing.assert_array_equal(got.to_flat(), want.to_flat())
+
     def test_discarded_states(self):
         rng = np.random.default_rng(8)
         prob = random_problem(rng)
