@@ -327,29 +327,33 @@ def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator) -> BlockOper
     return BlockOperator(M.dims, blocks)
 
 
+# the symmetry defect, relative to the largest entry, that certify and triangular_split accept
+_TOL_SYM = 1e-12
+
+
 def symmetry_defect(M: BlockOperator) -> float:
     """max |M - M^T| over all entries; cached, since the operator is frozen."""
     return M._symmetry_defect
 
 
-def _require_symmetric(M: BlockOperator, tol_sym: float, context: str):
+def _require_symmetric(M: BlockOperator, context: str):
     defect = symmetry_defect(M)
     scale = M.absmax()
     # written so that a NaN defect or scale fails the check too
-    if not defect <= tol_sym * max(scale, 1e-300):
+    if not defect <= _TOL_SYM * max(scale, 1e-300):
         raise CertificateError(
             f"{context}: operator is not symmetric (defect {defect:.3e}, scale {scale:.3e})"
         )
 
 
-def triangular_split(M: BlockOperator, tol_sym: float = 1e-12) -> TriangularPair:
+def triangular_split(M: BlockOperator) -> TriangularPair:
     """Split a symmetric block operator into mutually adjoint lower/upper parts.
 
     The lower part takes every block strictly below the diagonal and half of
     each diagonal block; the upper part is its transpose.  Their sum restores
     M exactly.
     """
-    _require_symmetric(M, tol_sym, "triangular_split")
+    _require_symmetric(M, "triangular_split")
     lower = {}
     upper = {}
     for (a, b), blk in M.blocks.items():
@@ -365,10 +369,10 @@ def triangular_split(M: BlockOperator, tol_sym: float = 1e-12) -> TriangularPair
     return TriangularPair(BlockOperator(dims, lower), BlockOperator(dims, upper))
 
 
-def certify(M: BlockOperator, tol_sym: float = 1e-12, context: str = "operator") -> None:
+def certify(M: BlockOperator, context: str = "operator") -> None:
     """Certify that M is symmetric positive definite, or raise ``CertificateError``.
 
-    Symmetry is checked against ``tol_sym`` times the largest entry.
+    Symmetry is checked against 1e-12 times the largest entry.
     Positive definiteness is certified by a Cholesky (or, for a tridiagonal
     band, LDL^T) factorization with positive pivots, the same
     ``linsolve.factor_spd`` the schemes use, so the check costs O(N) for
@@ -379,7 +383,7 @@ def certify(M: BlockOperator, tol_sym: float = 1e-12, context: str = "operator")
     # imported here: linsolve imports this module
     from .linsolve import NotPositiveDefiniteError, factor_spd
 
-    _require_symmetric(M, tol_sym, context)
+    _require_symmetric(M, context)
     try:
         factor_spd(M, context=context)
     except NotPositiveDefiniteError as err:
@@ -490,11 +494,16 @@ def write_block_operator(M: BlockOperator, manifest_path: str) -> None:
 
 
 def read_block_vector(path: str, dims: BlockDims) -> BlockVector:
-    """Read a block vector stored as one value per line, components concatenated."""
+    """Read a block vector stored as one value per line, components concatenated.
+
+    A NaN or infinite entry raises ``ValueError`` naming the file and line.
+    """
     values = []
     for lineno, line in _data_lines(path):
         for tok in line.split():
             values.append(float(tok))
+            if not np.isfinite(values[-1]):
+                raise ValueError(f"{path}:{lineno}: entry {tok!r} is not a finite number")
     if len(values) != dims.total:
         raise ValueError(f"{path}: expected {dims.total} values, got {len(values)}")
     return BlockVector(dims, values)

@@ -24,6 +24,7 @@ import itertools
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,14 +82,24 @@ def _fmt(value) -> str:
 
 
 def _parse_number(token: str, context: str) -> float:
+    """A finite number, written as a decimal or as a fraction ``num/den``."""
     token = token.strip()
+    num, _, den = token.partition("/")
     try:
-        if "/" in token:
-            num, _, den = token.partition("/")
-            return float(num) / float(den)
-        return float(token)
+        value = float(num) / float(den) if den else float(token)
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"{context}: cannot parse number {token!r}") from err
+    if not np.isfinite(value):
+        raise ConfigError(f"{context}: {token!r} is not a finite number")
+    return value
+
+
+def _parse_int(token: str, context: str) -> int:
+    token = token.strip()
+    try:
+        return int(token)
+    except ValueError as err:
+        raise ConfigError(f"{context}: cannot parse integer {token!r}") from err
 
 
 def _parse_numbers(text: str, context: str) -> list[float]:
@@ -132,14 +143,16 @@ def _require(cp, section: str, key: str) -> str:
 
 
 def _diffusion_spec(cp, kind: str) -> DiffusionSpec:
-    p = int(_get(cp, "problem", "p", "2"))
-    m = int(_get(cp, "problem", "m", "31"))
-    base = example_porosity_spec(p, m) if kind == "double_porosity" else example_coupled_spec(p, m)
-    k = _parse_table(_get(cp, "problem", "k"), "[problem] k") if _get(cp, "problem", "k") else base.k
-    r = _parse_table(_get(cp, "problem", "r"), "[problem] r") if _get(cp, "problem", "r") else base.r
-    b = _parse_table(_get(cp, "problem", "b"), "[problem] b") if _get(cp, "problem", "b") else base.b
+    p = _parse_int(_get(cp, "problem", "p", "2"), "[problem] p")
+    m = _parse_int(_get(cp, "problem", "m", "31"), "[problem] m")
+    tables = {}
+    for key in ("k", "r", "b"):
+        text = _get(cp, "problem", key)
+        if text:
+            tables[key] = _parse_table(text, f"[problem] {key}")
     try:
-        return DiffusionSpec(p=p, m=m, k=k, r=r, b=b)
+        base = example_porosity_spec(p, m) if kind == "double_porosity" else example_coupled_spec(p, m)
+        return replace(base, **tables)
     except ValueError as err:
         raise ConfigError(f"[problem]: {err}") from err
 
@@ -181,27 +194,30 @@ def _resolve(config_dir: str, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(config_dir, path)
 
 
-def _matrix_files_problem(cp, config_dir: str, T: float) -> EvolutionProblem:
+def _read_data(read, path: str, *args):
+    """One problem data file; an unreadable or malformed file is a config error."""
     try:
-        A = read_block_operator(_resolve(config_dir, _require(cp, "problem", "a_manifest")))
-        B = read_block_operator(_resolve(config_dir, _require(cp, "problem", "b_manifest")))
+        return read(path, *args)
     except (OSError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError(f"[problem]: {err}") from err
+
+
+def _matrix_files_problem(cp, config_dir: str, T: float) -> EvolutionProblem:
+    A = _read_data(read_block_operator, _resolve(config_dir, _require(cp, "problem", "a_manifest")))
+    B = _read_data(read_block_operator, _resolve(config_dir, _require(cp, "problem", "b_manifest")))
     certify(A, context="[problem] operator A from manifest")
     certify(B, context="[problem] operator B from manifest")
     v0_file = _get(cp, "problem", "v0_file")
     if v0_file is not None:
-        v0 = read_block_vector(_resolve(config_dir, v0_file), A.dims)
+        v0 = _read_data(read_block_vector, _resolve(config_dir, v0_file), A.dims)
     else:
         v0 = BlockVector(A.dims, np.ones(A.dims.total))
     forcing_kind = (_get(cp, "problem", "forcing", "zero") or "zero").strip()
     if forcing_kind == "zero":
         forcing = zero_forcing(A.dims)
     elif forcing_kind == "constant":
-        f_vec = read_block_vector(_resolve(config_dir, _require(cp, "problem", "f_file")), A.dims)
-        forcing = constant_forcing(f_vec)
+        f_path = _resolve(config_dir, _require(cp, "problem", "f_file"))
+        forcing = constant_forcing(_read_data(read_block_vector, f_path, A.dims))
     else:
         raise ConfigError(f"[problem] forcing={forcing_kind!r} unknown; expected zero or constant")
     return EvolutionProblem(A=A, B=B, forcing=forcing, v0=v0, T=T)
@@ -377,13 +393,10 @@ def _expected_window(kind: SchemeKind, sigma: float) -> tuple[float, float]:
     return FIRST_ORDER_WINDOW
 
 
-def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
+def _stability_cell(problem, cfg: SchemeConfig):
     """One sweep cell: (min_slack, r_min_eig, status)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        # not through _make_config: the sweep probes out-of-hypothesis cells
-        # on purpose and marks them in its table rather than warning
-        cfg = SchemeConfig(kind=kind, sigma=sigma, tau=tau, n_steps=n_steps, epsilon=epsilon)
-        observer = EnergyObserver() if kind is SchemeKind.THREE_LEVEL else EstimateObserver()
+        observer = EnergyObserver() if cfg.kind is SchemeKind.THREE_LEVEL else EstimateObserver()
         min_slack = None
         scale = 1.0
         failed = False
@@ -397,7 +410,7 @@ def _stability_cell(problem, kind, sigma, tau, epsilon, n_steps):
         except (RunStepError, SolveFailureError):
             failed = True
         r_eig = None
-        if kind is SchemeKind.THREE_LEVEL:
+        if cfg.kind is SchemeKind.THREE_LEVEL:
             if observer.initial_energy is None:
                 # the run broke in its startup step, before initial assembled R
                 observer.assemble(problem, cfg)
@@ -419,20 +432,26 @@ def cmd_stability(args, cp, config_dir: str) -> int:
     _, epsilon = _scheme_scalars(cp)
     sigmas = _parse_numbers(_require(cp, "scheme", "sigmas"), "[scheme] sigmas")
     taus = _parse_numbers(_require(cp, "scheme", "taus"), "[scheme] taus")
-    n_steps = int(_get(cp, "scheme", "n_steps", "100"))
-    for s in sigmas:
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"[scheme] sigmas: sigma={s} outside the admitted range [0, 1]")
+    n_steps = _parse_int(_get(cp, "scheme", "n_steps", "100"), "[scheme] n_steps")
+    cells = []
+    for s, t in itertools.product(sigmas, taus):
+        # not through _make_config: the sweep probes out-of-hypothesis cells
+        # on purpose and marks them in its table rather than warning
+        try:
+            cells.append(SchemeConfig(kind=kind, sigma=s, tau=t, n_steps=n_steps, epsilon=epsilon))
+        except ValueError as err:
+            raise ConfigError(f"[scheme]: {err}") from err
 
     rows = []
     any_fail = False
-    for s, t in itertools.product(sigmas, taus):
-        min_slack, r_eig, status = _stability_cell(problem, kind, s, t, epsilon, n_steps)
+    for cfg in cells:
+        min_slack, r_eig, status = _stability_cell(problem, cfg)
         # out-of-hypothesis cells are marked, not judged
         slack_cell = "n/a(hypothesis)" if status == "n/a(hypothesis)" else min_slack
-        rows.append([s, t, kind.value, slack_cell, r_eig])
+        rows.append([cfg.sigma, cfg.tau, kind.value, slack_cell, r_eig])
         any_fail = any_fail or status == "fail"
-        _say(args, f"sigma={s:g} tau={t:g} min_slack={_fmt(min_slack) or 'n/a'} status={status}")
+        shown = _fmt(min_slack) or "n/a"
+        _say(args, f"sigma={cfg.sigma:g} tau={cfg.tau:g} min_slack={shown} status={status}")
     path = _out_path(args, cp, "stability.csv")
     _write_csv(path, ["sigma", "tau", "scheme", "min_slack", "r_min_eig"], rows)
     _say(args, f"wrote {path}")

@@ -3,9 +3,10 @@
 Two regimes are kept apart on purpose.  The per-step sweeps of the triangular
 schemes only ever invert diagonal blocks, so those get per-block symmetric
 positive definite factorizations reused across steps.  Full-space solves with
-a general SPD block operator exist for the weighted scheme and for reference
-computations, with an explicit backward-error check so a silently bad
-factorization cannot poison a long run.
+a general SPD block operator exist for the weighted scheme (and the reference
+stepping built on it); they take the one factor prepared per configuration
+and never factor on their own, with an explicit backward-error check so a
+silently bad factorization cannot poison a long run.
 
 Every factorization is held in one type, ``SpdFactor``: a Cholesky factor,
 or an LDL^T factor when the matrix is tridiagonal.  ``factor_spd`` is the one
@@ -51,6 +52,9 @@ from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchEr
 # the N = 62 problems bit-for-bit on the dense LAPACK path the test oracles
 # use.
 SPARSE_MIN_ORDER = 128
+
+# Normwise backward error that ``solve_spd_full`` accepts.
+_BACKWARD_TOL = 1e-11
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -241,36 +245,25 @@ def solve_block_upper(U: BlockOperator, rhs: BlockVector, diag: DiagFactorizatio
     return _substitute(U, rhs, diag, range(U.dims.p - 1, -1, -1))
 
 
-def solve_spd_full(
-    M: BlockOperator,
-    rhs: BlockVector,
-    factor: Optional[SpdFactor] = None,
-    norm_inf: Optional[float] = None,
-    backward_tol: float = 1e-11,
-) -> BlockVector:
-    """Solve M x = rhs for a full SPD block operator via one factorization.
+def solve_spd_full(M: BlockOperator, rhs: BlockVector, factor: SpdFactor) -> BlockVector:
+    """Solve M x = rhs for a full SPD block operator with its factor.
 
     The solve is accepted only if its normwise backward error is small:
-    |M x - rhs| <= backward_tol * (|M| |x| + |rhs|) in the infinity norm.
-    Otherwise, or if the residual is not a number, it raises rather than
-    returning a quietly wrong vector.  ``norm_inf`` is |M| in the infinity
-    norm; pass it when solving repeatedly with one operator.
+    |M x - rhs| <= 1e-11 * (|M| |x| + |rhs|) in the infinity norm, with |M|
+    the norm the frozen operator caches.  Otherwise, or if the residual is
+    not a number, it raises rather than returning a quietly wrong vector.
     """
     if M.dims.sizes != rhs.dims.sizes:
         raise DimensionMismatchError(f"dims {M.dims.sizes} != {rhs.dims.sizes}")
-    if factor is None:
-        factor = factor_spd(M, context="full operator")
-    if norm_inf is None:
-        norm_inf = M.norm_inf()
     b = rhs.to_flat()
     out = BlockVector(M.dims, factor.solve(b, check_finite=False))
     x = out.to_flat()
     # measure against the operator, not the factor, so a stale or mismatched
     # factorization is caught and not just LAPACK breakage
     residual = float(np.abs(M.apply(out).to_flat() - b).max())
-    bound = backward_tol * (norm_inf * float(np.abs(x).max()) + float(np.abs(b).max()))
+    bound = _BACKWARD_TOL * (M.norm_inf() * float(np.abs(x).max()) + float(np.abs(b).max()))
     if not residual <= bound:
         raise SolveFailureError(
-            f"full solve residual {residual:.3e} exceeds {backward_tol:.1e} * (|M| |x| + |rhs|) = {bound:.3e}"
+            f"full solve residual {residual:.3e} exceeds {_BACKWARD_TOL:.1e} * (|M| |x| + |rhs|) = {bound:.3e}"
         )
     return out

@@ -164,7 +164,9 @@ class SchemeState:
     ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``run`` has
     measured them: every state that ``run`` hands its observers and its step
     functions carries both, the step functions' own results do not.  A step
-    reuses ``a_y`` for its residual instead of applying A again.
+    reuses ``a_y`` for its residual instead of applying A again; given a
+    state without it (the level 0 of ``three_level_init``, the levels of
+    ``verify.tiny_step_reference``), it applies A itself.
     """
 
     n: int
@@ -189,7 +191,6 @@ def forcing_sample(problem: EvolutionProblem, cfg: SchemeConfig, n: int) -> Bloc
 class WeightedWorkspace:
     shifted: BlockOperator
     factor: SpdFactor
-    norm_inf: float
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def _shifted_operator(problem: EvolutionProblem, cfg: SchemeConfig) -> BlockOper
 
 def _prepare_weighted(problem: EvolutionProblem, cfg: SchemeConfig) -> WeightedWorkspace:
     shifted = _shifted_operator(problem, cfg)
-    return WeightedWorkspace(shifted, factor_spd(shifted, context="B + sigma*tau*A"), shifted.norm_inf())
+    return WeightedWorkspace(shifted, factor_spd(shifted, context="B + sigma*tau*A"))
 
 
 def _prepare_factorized(problem: EvolutionProblem, cfg: SchemeConfig) -> FactorizedWorkspace:
@@ -262,8 +263,6 @@ def _a_y(problem: EvolutionProblem, state: SchemeState) -> BlockVector:
 
 
 def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> BlockVector:
-    if phi is None:
-        phi = forcing_sample(problem, cfg, state.n)
     return cfg.tau * (phi - _a_y(problem, state))
 
 
@@ -271,14 +270,12 @@ def weighted_step(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
     state: SchemeState,
-    workspace: Optional[WeightedWorkspace] = None,
-    phi: Optional[BlockVector] = None,
+    workspace: WeightedWorkspace,
+    phi: BlockVector,
 ) -> SchemeState:
     """One transition of the weighted scheme: (B + sigma*tau*A) dy = tau (phi - A y)."""
-    if workspace is None:
-        workspace = _prepare_weighted(problem, cfg)
     g = _residual_rhs(problem, cfg, state, phi)
-    dy = solve_spd_full(workspace.shifted, g, factor=workspace.factor, norm_inf=workspace.norm_inf)
+    dy = solve_spd_full(workspace.shifted, g, workspace.factor)
     return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
 
 
@@ -286,16 +283,14 @@ def factorized_step(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
     state: SchemeState,
-    workspace: Optional[FactorizedWorkspace] = None,
-    phi: Optional[BlockVector] = None,
+    workspace: FactorizedWorkspace,
+    phi: BlockVector,
 ) -> SchemeState:
     """One transition of the alternating triangular scheme.
 
     Solves (B + sigma*tau*A1) B^{-1} (B + sigma*tau*A2) dy = tau (phi - A y)
     as a forward sweep, a multiply by B, and a backward sweep.
     """
-    if workspace is None:
-        workspace = _prepare_factorized(problem, cfg)
     g = _residual_rhs(problem, cfg, state, phi)
     w = solve_block_lower(workspace.lower, g, workspace.diag)
     v = problem.B.apply(w)
@@ -306,7 +301,7 @@ def factorized_step(
 def three_level_init(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
-    workspace: Optional[ThreeLevelWorkspace] = None,
+    workspace: ThreeLevelWorkspace,
 ) -> SchemeState:
     """Startup transition for the three-level scheme.
 
@@ -314,10 +309,8 @@ def three_level_init(
     tau, which keeps the overall first-order accuracy and supplies the pair
     (y^1, y^0) the three-level transitions consume.
     """
-    if workspace is None:
-        workspace = _prepare_three_level(problem, cfg)
     state0 = SchemeState(0, 0.0, problem.v0)
-    stepped = weighted_step(problem, cfg, state0, workspace.startup)
+    stepped = weighted_step(problem, cfg, state0, workspace.startup, forcing_sample(problem, cfg, 0))
     return SchemeState(stepped.n, stepped.t, stepped.y, y_prev=problem.v0)
 
 
@@ -325,8 +318,8 @@ def three_level_step(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
     state: SchemeState,
-    workspace: Optional[ThreeLevelWorkspace] = None,
-    phi: Optional[BlockVector] = None,
+    workspace: ThreeLevelWorkspace,
+    phi: BlockVector,
 ) -> SchemeState:
     """One transition of the three-level factorized scheme.
 
@@ -335,12 +328,8 @@ def three_level_step(
     with C1 = B1 + sigma*tau*A1 block lower and C2 = B2 + sigma*tau*A2 block
     upper, so the left side splits into two substitution sweeps.
     """
-    if workspace is None:
-        workspace = _prepare_three_level(problem, cfg)
     if state.y_prev is None:
         raise ValueError("three_level_step needs the previous level; run three_level_init first")
-    if phi is None:
-        phi = forcing_sample(problem, cfg, state.n)
     two_eps_tau = 2.0 * cfg.epsilon * cfg.tau
     psi = two_eps_tau * (phi - _a_y(problem, state))
     psi = psi + workspace.c1_plus.apply(workspace.c2_plus.apply(state.y))
@@ -422,40 +411,34 @@ def run(
     records: list[RunRecord] = []
     states: list[BlockVector] = []
 
-    def with_product(state: SchemeState) -> SchemeState:
-        """The state with A y and its A-norm attached.
+    def measured(state: SchemeState) -> SchemeState:
+        """The level with A y and its A-norm attached; the divergence guard.
 
         The one product with A per level: the next transition's residual
-        reuses it.
-        """
-        a_y = problem.A.apply(state.y)
-        norm_a = weighted_norm(problem.A, state.y, a_y)
-        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a, a_y)
-
-    def measured(state: SchemeState) -> SchemeState:
-        """A new level with A y and its A-norm attached; the divergence guard.
-
-        The per-step solves do not scan their inputs.  A has a positive
-        diagonal, so a non-finite entry gives a non-finite norm, and so does
-        a finite level too large for (Ay, y) to be represented: either way
-        the run stops at the transition that produced the level, before any
-        observer sees it.
+        reuses it.  The per-step solves do not scan their inputs.  A has a
+        positive diagonal, so a non-finite entry gives a non-finite norm,
+        and so does a finite level too large for (Ay, y) to be represented:
+        either way the run stops at the level, the initial one included,
+        before any observer or transition sees it.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            state = with_product(state)
-        if not np.isfinite(state.norm_a):
+            a_y = problem.A.apply(state.y)
+            norm_a = weighted_norm(problem.A, state.y, a_y)
+        if not np.isfinite(norm_a):
+            if state.n == 0:
+                raise RunStepError(f"initial level v0 is not finite (A-norm {norm_a})", step=0)
             raise RunStepError(
-                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {state.norm_a})",
+                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
                 step=state.n - 1,
             )
-        return state
+        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a, a_y)
 
     def record(state: SchemeState, extras: dict):
         records.append(RunRecord(state.n, state.t, state.norm_a, extras))
         if keep_states:
             states.append(state.y)
 
-    state = with_product(SchemeState(0, 0.0, problem.v0))
+    state = measured(SchemeState(0, 0.0, problem.v0))
     remaining = cfg.n_steps
     if cfg.kind is SchemeKind.THREE_LEVEL:
         record(state, {})

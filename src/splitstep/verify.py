@@ -356,8 +356,8 @@ def tiny_step_reference(problem: EvolutionProblem, t: float, tau_ref: float) -> 
     cfg = SchemeConfig(SchemeKind.WEIGHTED, sigma=0.5, tau=t / n, n_steps=n)
     workspace = prepare(problem, cfg)
     state = SchemeState(0, 0.0, problem.v0)
-    for _ in range(n):
-        state = weighted_step(problem, cfg, state, workspace)
+    for k in range(n):
+        state = weighted_step(problem, cfg, state, workspace, forcing_sample(problem, cfg, k))
     return state.y
 
 
@@ -398,23 +398,18 @@ def steps_for(T: float, tau: float) -> int:
 
 
 def convergence_study(
-    problem: EvolutionProblem,
-    cfg_base: SchemeConfig,
-    taus: Sequence[float],
-    reference: Optional[BlockVector] = None,
+    problem: EvolutionProblem, cfg_base: SchemeConfig, taus: Sequence[float]
 ) -> ConvergenceReport:
     """Final-time A-norm errors and observed orders over a ladder of steps.
 
-    The reference defaults to the closed-form solution when the forcing
-    supports it, and otherwise to tiny-step brute force well below the finest
-    ladder step.
+    The reference is the closed-form solution when the forcing supports it,
+    and otherwise tiny-step brute force well below the finest ladder step.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
-    if reference is None:
-        try:
-            reference = reference_solution(problem, problem.T)
-        except UnsupportedForcingError:
-            reference = tiny_step_reference(problem, problem.T, min(taus) / 1024.0)
+    try:
+        reference = reference_solution(problem, problem.T)
+    except UnsupportedForcingError:
+        reference = tiny_step_reference(problem, problem.T, min(taus) / 1024.0)
     rows: list[ConvergenceRow] = []
     prev_tau = prev_err = None
     for tau in taus:

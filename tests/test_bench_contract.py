@@ -88,3 +88,31 @@ def test_workload_attributes_exist():
     assert "schemes.run" in used
     for name in sorted(used):
         _resolve(name)
+
+
+def test_traced_scheme_spans_are_recorded(bench_modules):
+    # run must look up prepare and the step functions, and the weighted step
+    # solve_spd_full, as module attributes at call time, or the traced
+    # per-step metrics read 0
+    _, spans = bench_modules
+    coupled = splitstep.manufactured_problem(splitstep.example_coupled_spec(p=2, m=9)).problem
+    porous = splitstep.manufactured_problem(splitstep.example_porosity_spec(p=2, m=9)).problem
+    tracer = spans.Tracer()
+    with tracer.installed(splitstep):
+        for kind, sigma, problem in (
+            ("weighted", 0.5, coupled),
+            ("factorized", 0.5, coupled),
+            ("three_level", 1.0, porous),
+        ):
+            with tracer.op(kind):
+                splitstep.run(problem, splitstep.SchemeConfig(kind, sigma=sigma, tau=0.1, n_steps=2))
+    recorded = {span.name for span in tracer.spans}
+    for name in (
+        "schemes.weighted_step",
+        "schemes.factorized_step",
+        "schemes.three_level_step",
+        "schemes.prepare",
+        "linsolve.solve_spd_full",
+        "linsolve.solve_block_lower",
+    ):
+        assert name in recorded, name

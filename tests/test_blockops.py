@@ -586,3 +586,10 @@ class TestManifestIO:
         path.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="expected 3"):
             read_block_vector(str(path), BlockDims((3,)))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_vector_rejects_non_finite_entries(self, tmp_path, token):
+        path = tmp_path / "v.txt"
+        path.write_text(f"# header\n1.0\n{token}\n3.0\n")
+        with pytest.raises(ValueError, match=rf"v\.txt:3: entry '{token}' is not a finite number"):
+            read_block_vector(str(path), BlockDims((3,)))

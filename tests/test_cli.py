@@ -580,6 +580,56 @@ class TestCompareCommand:
         assert err == "error: B + sigma*tau*A: not positive definite, leading minor 7 is not positive\n"
 
 
+MATRIX_FILES_RUN = """\
+    [problem]
+    kind = matrix_files
+    a_manifest = a.manifest
+    b_manifest = b.manifest
+    v0_file = v0.txt
+
+    [scheme]
+    kind = weighted
+    sigma = 0.5
+    tau = 0.25
+    T = 1.0
+"""
+
+STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.5")
+
+
+@pytest.mark.parametrize(
+    "command, text, v0",
+    [
+        ("run", MANUFACTURED_RUN.replace("p = 2", "p = 0"), None),
+        ("run", MANUFACTURED_RUN.replace("m = 9", "M = 0"), None),
+        ("run", MANUFACTURED_RUN.replace("p = 2", "p = two"), None),
+        ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = nan"), None),
+        ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = nan"), None),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = ten"), None),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 2.5"), None),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 0"), None),
+        ("stability", STABILITY_RUN.replace("taus = 0.01 0.1", "taus = -0.1"), None),
+        ("run", MATRIX_FILES_RUN, "1\n2\n"),
+        ("run", MATRIX_FILES_RUN, "1\nnan\n3\n"),
+    ],
+    ids=[
+        "p_zero", "m_zero", "p_not_integer", "tau_nan", "T_nan", "n_steps_word", "n_steps_fraction",
+        "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan",
+    ],
+)
+def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0):
+    if v0 is not None:
+        rng = np.random.default_rng(55)
+        dims = BlockDims((3,))
+        write_block_operator(random_spd(rng, dims), str(tmp_path / "a.manifest"))
+        write_block_operator(random_block_diag_spd(rng, dims), str(tmp_path / "b.manifest"))
+        (tmp_path / "v0.txt").write_text(v0)
+    config = write_config(tmp_path, text)
+    assert main([command, "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
 class TestMatrixFilesProblem:
     def _write_operators(self, tmp_path, rng, dims):
         A = random_spd(rng, dims)

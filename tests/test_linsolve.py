@@ -293,7 +293,7 @@ class TestBandedPath:
         assert factor.perm is not None and factor.bandwidth <= 3
         rng = np.random.default_rng(14)
         rhs = random_vector(rng, shifted.dims)
-        got = solve_spd_full(shifted, rhs, factor=factor).to_flat()
+        got = solve_spd_full(shifted, rhs, factor).to_flat()
         want = np.linalg.solve(shifted.to_dense(), rhs.to_flat())
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -303,7 +303,7 @@ class TestFullSolve:
         dims = BlockDims((2, 1))
         M = BlockOperator.identity(dims)
         rhs = BlockVector.from_parts(dims, ([1.0, 2.0], [3.0]))
-        x = solve_spd_full(M, rhs)
+        x = solve_spd_full(M, rhs, factor_spd(M))
         np.testing.assert_array_equal(x.to_flat(), rhs.to_flat())
 
     def test_matches_numpy_solve(self):
@@ -311,14 +311,14 @@ class TestFullSolve:
         dims = random_dims(rng)
         M = random_spd(rng, dims)
         rhs = random_vector(rng, dims)
-        x = solve_spd_full(M, rhs)
+        x = solve_spd_full(M, rhs, factor_spd(M))
         want = np.linalg.solve(M.to_dense(), rhs.to_flat())
         np.testing.assert_allclose(x.to_flat(), want, rtol=0, atol=1e-11 * max(1.0, np.abs(want).max()))
 
     def test_zero_rhs_skips_residual_check(self):
         dims = BlockDims((2,))
         M = BlockOperator.identity(dims, 3.0)
-        x = solve_spd_full(M, BlockVector.zeros(dims))
+        x = solve_spd_full(M, BlockVector.zeros(dims), factor_spd(M))
         assert x.norm() == 0.0
 
     def test_reused_factor(self):
@@ -327,8 +327,8 @@ class TestFullSolve:
         M = random_spd(rng, dims)
         factor = factor_spd(M.to_dense())
         rhs = random_vector(rng, dims)
-        x1 = solve_spd_full(M, rhs, factor=factor)
-        x2 = solve_spd_full(M, rhs)
+        x1 = solve_spd_full(M, rhs, factor)
+        x2 = solve_spd_full(M, rhs, factor_spd(M))
         np.testing.assert_allclose(x1.to_flat(), x2.to_flat(), atol=1e-14)
 
     def test_mismatched_factor_fails_residual_check(self):
@@ -337,21 +337,21 @@ class TestFullSolve:
         wrong = factor_spd(2.0 * np.eye(2))
         rhs = BlockVector.from_parts(dims, ([1.0, 1.0],))
         with pytest.raises(SolveFailureError, match="residual"):
-            solve_spd_full(M, rhs, factor=wrong)
+            solve_spd_full(M, rhs, wrong)
 
     def test_nan_fails_residual_check(self):
         dims = BlockDims((2,))
         M = BlockOperator.identity(dims)
         rhs = BlockVector.from_parts(dims, ([1.0, np.nan],))
         with pytest.raises(SolveFailureError, match="residual nan"):
-            solve_spd_full(M, rhs)
+            solve_spd_full(M, rhs, factor_spd(M))
 
     def test_backward_error_check_scales_with_operator(self):
         # |M| = 4e8 at m = 10000: the residual of a correct solve is far
         # above 1e-11 |rhs| but its backward error is at rounding level
         M = BlockOperator(BlockDims((10_000,)), {(0, 0): laplacian_1d(10_000)})
         rhs = BlockVector.from_parts(M.dims, (np.ones(10_000),))
-        x = solve_spd_full(M, rhs)
+        x = solve_spd_full(M, rhs, factor_spd(M))
         assert (M.apply(x) - rhs).norm() > 1e-11 * rhs.norm()
 
     @given(seeds)
@@ -360,6 +360,6 @@ class TestFullSolve:
         dims = random_dims(rng)
         M = random_spd(rng, dims)
         rhs = random_vector(rng, dims)
-        x = solve_spd_full(M, rhs)
+        x = solve_spd_full(M, rhs, factor_spd(M))
         back = M.apply(x)
         assert (back - rhs).norm() <= 1e-10 * max(1.0, rhs.norm())

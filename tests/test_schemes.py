@@ -50,6 +50,11 @@ from helpers import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def first_step(step, prob, cfg):
+    """The transition from level 0, with the workspace and forcing sample ``run`` would pass."""
+    return step(prob, cfg, SchemeState(0, 0.0, prob.v0), prepare(prob, cfg), forcing_sample(prob, cfg, 0))
+
+
 class TestSchemeConfig:
     def test_kind_coercion_from_string(self):
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=3)
@@ -146,7 +151,7 @@ class TestWeightedStep:
     def test_scalar_midpoint_weight(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
-        out = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        out = first_step(weighted_step, prob, cfg)
         # (1 + 0.5*0.1*2)(y1 - 1) = -0.1*2  =>  y1 = 9/11
         assert out.y.parts[0][0] == pytest.approx(9.0 / 11.0, abs=1e-15)
         assert out.n == 1 and out.t == pytest.approx(0.1)
@@ -154,7 +159,7 @@ class TestWeightedStep:
     def test_scalar_implicit_weight(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=1.0, tau=0.1, n_steps=1)
-        out = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        out = first_step(weighted_step, prob, cfg)
         assert out.y.parts[0][0] == pytest.approx(5.0 / 6.0, abs=1e-15)
 
     def test_pure_mass_problem_integrates_forcing(self):
@@ -167,7 +172,7 @@ class TestWeightedStep:
             T=1.0,
         )
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
-        out = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        out = first_step(weighted_step, prob, cfg)
         # y1 = y0 + tau * B^{-1} f
         np.testing.assert_allclose(out.y.to_flat(), [1.15, 0.95], rtol=0, atol=1e-15)
 
@@ -177,8 +182,8 @@ class TestWeightedStep:
         prob = random_problem(rng)
         cfg = SchemeConfig("weighted", sigma=float(rng.uniform(0.5, 1.0)), tau=0.05, n_steps=1)
         state = SchemeState(0, 0.0, prob.v0)
-        out = weighted_step(prob, cfg, state)
         phi = forcing_sample(prob, cfg, 0)
+        out = weighted_step(prob, cfg, state, prepare(prob, cfg), phi)
         shifted = prob.B.to_dense() + cfg.sigma * cfg.tau * prob.A.to_dense()
         want = prob.v0.to_flat() + np.linalg.solve(
             shifted, cfg.tau * (phi.to_flat() - prob.A.to_dense() @ prob.v0.to_flat())
@@ -191,7 +196,7 @@ class TestFactorizedStep:
     def test_scalar_squared_denominator(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("factorized", sigma=1.0, tau=0.1, n_steps=1)
-        out = factorized_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        out = first_step(factorized_step, prob, cfg)
         # (1 + 0.1*1)^2 (y1 - 1) = -0.2  =>  y1 = 101/121
         assert out.y.parts[0][0] == pytest.approx(101.0 / 121.0, abs=1e-15)
 
@@ -207,14 +212,15 @@ class TestFactorizedStep:
         )
         cfg = SchemeConfig("factorized", sigma=0.5, tau=0.1, n_steps=1)
         with pytest.raises(SchemeInapplicableError, match="three-level"):
-            factorized_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+            prepare(prob, cfg)
 
     @given(seeds)
     def test_matches_dense_product_operator(self, seed):
         rng = np.random.default_rng(seed)
         prob = random_problem(rng, diag_b=True)
         cfg = SchemeConfig("factorized", sigma=float(rng.uniform(0.5, 1.0)), tau=0.05, n_steps=1)
-        out = factorized_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        phi = forcing_sample(prob, cfg, 0)
+        out = factorized_step(prob, cfg, SchemeState(0, 0.0, prob.v0), prepare(prob, cfg), phi)
 
         pair = triangular_split(prob.A)
         st_ = cfg.sigma * cfg.tau
@@ -222,7 +228,6 @@ class TestFactorizedStep:
         lower = B + st_ * pair.lower.to_dense()
         upper = B + st_ * pair.upper.to_dense()
         product = lower @ np.linalg.solve(B, upper)
-        phi = forcing_sample(prob, cfg, 0)
         want = prob.v0.to_flat() + np.linalg.solve(
             product, cfg.tau * (phi.to_flat() - prob.A.to_dense() @ prob.v0.to_flat())
         )
@@ -243,8 +248,11 @@ class TestThreeLevelScheme:
     def test_startup_is_one_weighted_step(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2)
-        init = three_level_init(prob, cfg)
-        ref = weighted_step(prob, cfg, SchemeState(0, 0.0, prob.v0))
+        init = three_level_init(prob, cfg, prepare(prob, cfg))
+        weighted = replace(cfg, kind="weighted")
+        ref = weighted_step(
+            prob, weighted, SchemeState(0, 0.0, prob.v0), prepare(prob, weighted), forcing_sample(prob, cfg, 0)
+        )
         assert init.n == 1 and init.t == pytest.approx(0.1)
         assert init.y.parts[0][0] == ref.y.parts[0][0]
         assert init.y_prev is prob.v0
@@ -255,7 +263,7 @@ class TestThreeLevelScheme:
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2, epsilon=1.0)
         state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
-        out = three_level_step(prob, cfg, state)
+        out = three_level_step(prob, cfg, state, prepare(prob, cfg), forcing_sample(prob, cfg, 1))
         assert out.y.parts[0][0] == pytest.approx(27.0 / 32.0, abs=1e-15)
         assert out.y_prev is state.y
 
@@ -263,7 +271,9 @@ class TestThreeLevelScheme:
         prob = scalar_problem()
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2)
         with pytest.raises(ValueError, match="three_level_init"):
-            three_level_step(prob, cfg, SchemeState(1, 0.1, prob.v0))
+            three_level_step(
+                prob, cfg, SchemeState(1, 0.1, prob.v0), prepare(prob, cfg), forcing_sample(prob, cfg, 1)
+            )
 
     def test_constant_state_fixed_for_any_epsilon(self):
         # with A = 0, f = 0 a flat history stays flat regardless of epsilon
@@ -279,7 +289,7 @@ class TestThreeLevelScheme:
         for eps in (0.5, 1.0, 2.0):
             cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2, epsilon=eps)
             state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
-            out = three_level_step(prob, cfg, state)
+            out = three_level_step(prob, cfg, state, prepare(prob, cfg), forcing_sample(prob, cfg, 1))
             assert (out.y - prob.v0).norm() <= 1e-13 * max(1.0, prob.v0.norm())
 
     @given(seeds)
@@ -289,8 +299,9 @@ class TestThreeLevelScheme:
         cfg = SchemeConfig(
             "three_level", sigma=1.0, tau=0.05, n_steps=2, epsilon=float(rng.uniform(0.5, 2.0))
         )
-        init = three_level_init(prob, cfg)
-        out = three_level_step(prob, cfg, init)
+        ws = prepare(prob, cfg)
+        init = three_level_init(prob, cfg, ws)
+        out = three_level_step(prob, cfg, init, ws, forcing_sample(prob, cfg, 1))
 
         a_pair = triangular_split(prob.A)
         b_pair = triangular_split(prob.B)
@@ -380,15 +391,16 @@ class TestRun:
         prob = random_problem(np.random.default_rng(21), diag_b=diag_b)
         cfg = SchemeConfig(kind, sigma=sigma, tau=0.05, n_steps=6)
         # the same levels from bare step calls, whose states carry no product
+        ws = prepare(prob, cfg)
         if kind == "three_level":
-            state = three_level_init(prob, cfg)
+            state = three_level_init(prob, cfg, ws)
             bare = [prob.v0, state.y]
         else:
             state = SchemeState(0, 0.0, prob.v0)
             bare = [prob.v0]
         step = {"weighted": weighted_step, "factorized": factorized_step, "three_level": three_level_step}[kind]
         while state.n < cfg.n_steps:
-            state = step(prob, cfg, state)
+            state = step(prob, cfg, state, ws, forcing_sample(prob, cfg, state.n))
             assert state.a_y is None
             bare.append(state.y)
 
@@ -449,6 +461,20 @@ class TestRun:
         with pytest.raises(RunStepError, match="startup") as exc_info:
             run(prob, cfg)
         assert exc_info.value.step == 0
+
+    @pytest.mark.parametrize("kind, sigma", [("weighted", 0.5), ("factorized", 0.5), ("three_level", 1.0)])
+    def test_non_finite_initial_level_is_step_zero(self, kind, sigma):
+        # level 0 goes through the same guard as every later level, before
+        # any transition or observer sees it
+        prob = random_problem(np.random.default_rng(23), diag_b=True)
+        v0 = prob.v0.to_flat().copy()
+        v0[1] = np.nan
+        prob = replace(prob, v0=BlockVector(prob.dims, v0))
+        spy = _SpyObserver()
+        with pytest.raises(RunStepError, match=r"^initial level v0 is not finite \(A-norm nan\)$") as exc_info:
+            run(prob, SchemeConfig(kind, sigma=sigma, tau=0.1, n_steps=3), observers=(spy,))
+        assert exc_info.value.step == 0
+        assert spy.initial_calls == 0
 
     def test_prepare_dispatch(self):
         rng = np.random.default_rng(9)

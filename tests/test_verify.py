@@ -25,7 +25,9 @@ from splitstep import (
     convergence_study,
     example_coupled_spec,
     example_porosity_spec,
+    forcing_sample,
     manufactured_problem,
+    prepare,
     reference_solution,
     run,
     run_slacks,
@@ -76,7 +78,7 @@ class TestTwoLevelEstimate:
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
         s0 = SchemeState(0, 0.0, prob.v0)
-        s1 = weighted_step(prob, cfg, s0)
+        s1 = weighted_step(prob, cfg, s0, prepare(prob, cfg), forcing_sample(prob, cfg, 0))
         phi = BlockVector.zeros(prob.dims)
         obs = observed(EstimateObserver(), prob, cfg)
         assert obs.initial_energy == pytest.approx(2.0, abs=1e-15)
@@ -134,7 +136,7 @@ class TestTwoLevelEstimate:
         prob = random_problem(rng)
         cfg = SchemeConfig("weighted", sigma=0.8, tau=0.05, n_steps=1)
         s0 = SchemeState(0, 0.0, prob.v0)
-        s1 = weighted_step(prob, cfg, s0)
+        s1 = weighted_step(prob, cfg, s0, prepare(prob, cfg), forcing_sample(prob, cfg, 0))
         phi = prob.forcing(cfg.sigma * cfg.tau)
         streamed = observed(EstimateObserver(), prob, cfg).transition(prob, cfg, s0, s1, phi)["slack"]
         (recomputed,) = run_slacks(prob, cfg, run(prob, cfg))
@@ -172,7 +174,7 @@ class TestThreeLevelEstimate:
 
         from splitstep import three_level_step
 
-        out = three_level_step(prob, cfg, state)
+        out = three_level_step(prob, cfg, state, prepare(prob, cfg), forcing_sample(prob, cfg, 1))
         # y2 = 27/32: E2 = 2 (59/64)^2 + 0.063 (25/16)^2
         extras = obs.transition(prob, cfg, state, out, BlockVector.zeros(prob.dims))
         assert extras["energy"] == pytest.approx(1.853515625, abs=1e-13)
@@ -489,13 +491,15 @@ class TestConvergenceStudy:
         report = convergence_study(manu.problem, cfg, self.taus)
         assert 0.8 <= report.finest_order <= 1.2
 
-    def test_explicit_reference_matches_default(self):
+    def test_errors_match_manufactured_exact(self):
         manu = manufactured_problem(example_coupled_spec(p=2, m=9))
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.25, n_steps=4)
-        by_default = convergence_study(manu.problem, cfg, self.taus)
-        by_exact = convergence_study(manu.problem, cfg, self.taus, reference=manu.exact(1.0))
-        for a, b in zip(by_default.rows, by_exact.rows):
-            assert a.error_a == pytest.approx(b.error_a, rel=1e-6)
+        report = convergence_study(manu.problem, cfg, self.taus)
+        exact = manu.exact(1.0)
+        for row in report.rows:
+            level = SchemeConfig("weighted", sigma=0.5, tau=row.tau, n_steps=row.n_steps)
+            final = run(manu.problem, level).final_state
+            assert row.error_a == pytest.approx(weighted_norm(manu.problem.A, final - exact), rel=1e-6)
 
     def test_fallback_reference_for_opaque_forcing(self):
         rng = np.random.default_rng(22)
