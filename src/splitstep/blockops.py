@@ -410,6 +410,15 @@ def _data_lines(path: str) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
+def _parse(convert, token: str, path: str, lineno: int):
+    """``convert(token)``, with a malformed token reported by file and line."""
+    try:
+        return convert(token)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{path}:{lineno}: {token!r} is not {kind}") from None
+
+
 def read_coo_matrix(path: str) -> sp.csr_array:
     """Read one block from a coordinate-format text file."""
     lines = iter(_data_lines(path))
@@ -420,18 +429,18 @@ def read_coo_matrix(path: str) -> sp.csr_array:
     fields = header.split()
     if len(fields) != 3:
         raise ValueError(f"{path}:{lineno}: header must be 'rows cols nnz', got {header!r}")
-    rows, cols, nnz = (int(f) for f in fields)
+    rows, cols, nnz = (_parse(int, f, path, lineno) for f in fields)
     ii, jj, vv = [], [], []
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'i j value', got {line!r}")
-        i, j = int(fields[0]), int(fields[1])
+        i, j = (_parse(int, f, path, lineno) for f in fields[:2])
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ValueError(f"{path}:{lineno}: index ({i},{j}) outside {rows}x{cols}")
         ii.append(i - 1)
         jj.append(j - 1)
-        vv.append(float(fields[2]))
+        vv.append(_parse(float, fields[2], path, lineno))
     if len(vv) != nnz:
         raise ValueError(f"{path}: header promises {nnz} entries, file has {len(vv)}")
     return sp.csr_array(sp.coo_array((vv, (ii, jj)), shape=(rows, cols)))
@@ -459,14 +468,19 @@ def read_block_operator(manifest_path: str) -> BlockOperator:
         key_fields = key.split()
         value = value.strip()
         if key_fields == ["p"]:
-            p = int(value)
+            repeated = p is not None
+            p = _parse(int, value, manifest_path, lineno)
         elif key_fields == ["sizes"]:
-            sizes = tuple(int(tok) for tok in value.split())
+            repeated = sizes is not None
+            sizes = tuple(_parse(int, tok, manifest_path, lineno) for tok in value.split())
         elif len(key_fields) == 3 and key_fields[0] == "block":
-            a, b = int(key_fields[1]), int(key_fields[2])
-            block_paths[(a - 1, b - 1)] = value
+            a, b = (_parse(int, f, manifest_path, lineno) - 1 for f in key_fields[1:])
+            repeated = (a, b) in block_paths
+            block_paths[(a, b)] = value
         else:
             raise ValueError(f"{manifest_path}:{lineno}: unknown key {key.strip()!r}")
+        if repeated:
+            raise ValueError(f"{manifest_path}:{lineno}: repeated key {key.strip()!r}")
     if p is None or sizes is None:
         raise ValueError(f"{manifest_path}: manifest must define both 'p' and 'sizes'")
     if len(sizes) != p:
@@ -501,7 +515,7 @@ def read_block_vector(path: str, dims: BlockDims) -> BlockVector:
     values = []
     for lineno, line in _data_lines(path):
         for tok in line.split():
-            values.append(float(tok))
+            values.append(_parse(float, tok, path, lineno))
             if not np.isfinite(values[-1]):
                 raise ValueError(f"{path}:{lineno}: entry {tok!r} is not a finite number")
     if len(values) != dims.total:

@@ -77,13 +77,14 @@ class SchemeConfig:
         object.__setattr__(self, "kind", SchemeKind(self.kind))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma={self.sigma} outside the admitted range [0, 1]")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau={self.tau} must be positive")
+        for name, value in (("tau", self.tau), ("epsilon", self.epsilon)):
+            if not value > 0.0:
+                raise ValueError(f"{name}={value} must be positive")
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise ValueError(f"n_steps={self.n_steps} must be a positive integer")
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon={self.epsilon} must be positive")
 
     @property
     def stability_threshold(self) -> float:
@@ -150,6 +151,8 @@ class EvolutionProblem:
             raise DimensionMismatchError(f"v0 dims {self.v0.dims.sizes} != A dims {self.A.dims.sizes}")
         if not self.T > 0.0:
             raise ValueError(f"T={self.T} must be positive")
+        if not np.isfinite(self.T):
+            raise ValueError(f"T={self.T} must be finite")
 
     @property
     def dims(self) -> BlockDims:
@@ -202,10 +205,10 @@ class FactorizedWorkspace:
 
 @dataclass(frozen=True)
 class ThreeLevelWorkspace:
+    """C1 + eps E, C2 + eps E and their diagonal factors; ``startup`` has C = B + sigma*tau*A."""
+
     c1_plus: BlockOperator
     c2_plus: BlockOperator
-    c1_minus: BlockOperator
-    c2_minus: BlockOperator
     diag: DiagFactorization
     startup: WeightedWorkspace
 
@@ -243,10 +246,8 @@ def _prepare_three_level(problem: EvolutionProblem, cfg: SchemeConfig) -> ThreeL
     eye = BlockOperator.identity(problem.dims)
     c1_plus = lincomb(1.0, c1, cfg.epsilon, eye)
     c2_plus = lincomb(1.0, c2, cfg.epsilon, eye)
-    c1_minus = lincomb(1.0, c1, -cfg.epsilon, eye)
-    c2_minus = lincomb(1.0, c2, -cfg.epsilon, eye)
     diag = DiagFactorization.from_operator(c1_plus)
-    return ThreeLevelWorkspace(c1_plus, c2_plus, c1_minus, c2_minus, diag, _prepare_weighted(problem, cfg))
+    return ThreeLevelWorkspace(c1_plus, c2_plus, diag, _prepare_weighted(problem, cfg))
 
 
 def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
@@ -258,12 +259,9 @@ def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
     return _prepare_three_level(problem, cfg)
 
 
-def _a_y(problem: EvolutionProblem, state: SchemeState) -> BlockVector:
-    return problem.A.apply(state.y) if state.a_y is None else state.a_y
-
-
 def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> BlockVector:
-    return cfg.tau * (phi - _a_y(problem, state))
+    a_y = problem.A.apply(state.y) if state.a_y is None else state.a_y
+    return cfg.tau * (phi - a_y)
 
 
 def weighted_step(
@@ -325,18 +323,18 @@ def three_level_step(
 
     (C1 + eps E)(C2 + eps E) y^{n+1} = 2 eps tau (phi - A y^n)
         + (C1 + eps E)(C2 + eps E) y^n + (C1 - eps E)(C2 - eps E)(y^n - y^{n-1})
-    with C1 = B1 + sigma*tau*A1 block lower and C2 = B2 + sigma*tau*A2 block
-    upper, so the left side splits into two substitution sweeps.
+    with C1 = B1 + sigma*tau*A1 block lower, C2 = B2 + sigma*tau*A2 block upper.
+    As C1 + C2 = C = B + sigma*tau*A, the last product is the first minus 2 eps C:
+        (C1 + eps E)(C2 + eps E) dy = 2 eps [tau (phi - A y^n) - C (y^n - y^{n-1})]
+    and y^{n+1} = y^n + (y^n - y^{n-1}) + dy, after two substitution sweeps.
     """
     if state.y_prev is None:
         raise ValueError("three_level_step needs the previous level; run three_level_init first")
-    two_eps_tau = 2.0 * cfg.epsilon * cfg.tau
-    psi = two_eps_tau * (phi - _a_y(problem, state))
-    psi = psi + workspace.c1_plus.apply(workspace.c2_plus.apply(state.y))
     diff = state.y - state.y_prev
-    psi = psi + workspace.c1_minus.apply(workspace.c2_minus.apply(diff))
-    half = solve_block_lower(workspace.c1_plus, psi, workspace.diag)
-    y_new = solve_block_upper(workspace.c2_plus, half, workspace.diag)
+    g = _residual_rhs(problem, cfg, state, phi) - workspace.startup.shifted.apply(diff)
+    half = solve_block_lower(workspace.c1_plus, (2.0 * cfg.epsilon) * g, workspace.diag)
+    dy = solve_block_upper(workspace.c2_plus, half, workspace.diag)
+    y_new = state.y + diff + dy
     return SchemeState(state.n + 1, state.t + cfg.tau, y_new, y_prev=state.y)
 
 

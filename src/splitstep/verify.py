@@ -178,8 +178,9 @@ class EnergyObserver(RunObserver):
     where R is positive definite.  ``initial`` assembles R from the
     triangular splits (sparse above ``SPARSE_MIN_ORDER``) for any admitted
     sigma, so out-of-hypothesis behavior can be probed: R is checked
-    symmetric but not positive definite.  It also factors C.  As in ``EstimateObserver``, the energy of the last
-    level seen is kept, so a transition evaluates one energy.
+    symmetric but not positive definite.  It also factors C.  As in
+    ``EstimateObserver``, the energy of the last level seen is kept, so a
+    transition evaluates one energy.
     """
 
     def __init__(self):

@@ -527,6 +527,9 @@ class TestCooIO:
             ("2 2 1\n1 1\n", "expected"),
             ("2 2 1\n3 1 1.0\n", "outside"),
             ("2 2 2\n1 1 1.0\n", "promises"),
+            ("2 x 1\n", r"bad\.coo:1: 'x' is not an integer"),
+            ("2 2 1\n# entries\n1.5 1 1.0\n", r"bad\.coo:3: '1\.5' is not an integer"),
+            ("2 2 1\n1 1 abc\n", r"bad\.coo:2: 'abc' is not a number"),
         ],
     )
     def test_malformed_files(self, tmp_path, content, fragment):
@@ -572,6 +575,32 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="outside"):
             read_block_operator(str(manifest))
 
+        for text, message in [
+            ("p = two\nsizes = 1 1\n", r"op\.manifest:1: 'two' is not an integer"),
+            ("p = 2\nsizes = 1 x\n", r"op\.manifest:2: 'x' is not an integer"),
+            ("p = 1\nsizes = 1\nblock 1 b = b.coo\n", r"op\.manifest:3: 'b' is not an integer"),
+        ]:
+            manifest.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_block_operator(str(manifest))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("p = 1\nsizes = 1\np = 2\n", "p"),
+            ("p = 1\nsizes = 1\nsizes = 2\n", "sizes"),
+            ("p = 1\nsizes = 1\nblock 1 1 = b.coo\nblock 1 1 = b.coo\n", "block 1 1"),
+        ],
+        ids=["p", "sizes", "block"],
+    )
+    def test_manifest_rejects_repeated_key(self, tmp_path, text, key):
+        (tmp_path / "b.coo").write_text("1 1 1\n1 1 1.0\n")
+        manifest = tmp_path / "op.manifest"
+        manifest.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ValueError, match=rf"op\.manifest:{line}: repeated key '{key}'"):
+            read_block_operator(str(manifest))
+
     def test_vector_roundtrip(self, tmp_path):
         rng = np.random.default_rng(43)
         dims = BlockDims((3, 2))
@@ -592,4 +621,10 @@ class TestManifestIO:
         path = tmp_path / "v.txt"
         path.write_text(f"# header\n1.0\n{token}\n3.0\n")
         with pytest.raises(ValueError, match=rf"v\.txt:3: entry '{token}' is not a finite number"):
+            read_block_vector(str(path), BlockDims((3,)))
+
+    def test_vector_rejects_malformed_entry(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1.0\nabc\n3.0\n")
+        with pytest.raises(ValueError, match=r"v\.txt:2: 'abc' is not a number"):
             read_block_vector(str(path), BlockDims((3,)))

@@ -611,10 +611,11 @@ STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.
         ("stability", STABILITY_RUN.replace("taus = 0.01 0.1", "taus = -0.1"), None),
         ("run", MATRIX_FILES_RUN, "1\n2\n"),
         ("run", MATRIX_FILES_RUN, "1\nnan\n3\n"),
+        ("run", MATRIX_FILES_RUN, "1\nabc\n3\n"),
     ],
     ids=[
         "p_zero", "m_zero", "p_not_integer", "tau_nan", "T_nan", "n_steps_word", "n_steps_fraction",
-        "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan",
+        "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan", "v0_not_a_number",
     ],
 )
 def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0):
@@ -628,6 +629,27 @@ def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, te
     assert main([command, "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+    if v0 is not None:
+        assert "v0.txt" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, config, header, rows",
+    [
+        ("run", "run_manufactured.ini", "step,t,norm_A,energy_E,thm_slack", 65),
+        ("converge", "converge_weighted.ini", "tau,error_A,observed_order", 5),
+        ("stability", "stability_three_level.ini", "sigma,tau,scheme,min_slack,r_min_eig", 9),
+        ("compare", "compare_schemes.ini", "tau,n_steps,max_diff_a,final_diff_a,ratio", 3),
+    ],
+    ids=["run", "converge", "stability", "compare"],
+)
+def test_shipped_config_runs_under_its_command(tmp_path, command, config, header, rows):
+    # the four Quickstart commands of the README
+    assert main([command, "--config", str(SHIPPED_CONFIGS / config), "--out", str(tmp_path), "--quiet"]) == 0
+    (csv_path,) = tmp_path.glob("*.csv")
+    got_header, got_rows = read_csv(csv_path)
+    assert ",".join(got_header) == header
+    assert len(got_rows) == rows
 
 
 class TestMatrixFilesProblem:

@@ -74,6 +74,10 @@ class TestSchemeConfig:
             SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=2.5)
         with pytest.raises(ValueError, match="epsilon"):
             SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=1, epsilon=0.0)
+        with pytest.raises(ValueError, match="tau=inf must be finite"):
+            SchemeConfig("weighted", sigma=0.5, tau=np.inf, n_steps=1)
+        with pytest.raises(ValueError, match="epsilon=inf must be finite"):
+            SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=1, epsilon=np.inf)
 
     def test_thresholds_and_hypothesis_flag(self):
         weighted = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
@@ -145,6 +149,9 @@ class TestEvolutionProblem:
         with pytest.raises(ValueError, match="T="):
             EvolutionProblem(A=ok, B=ok, forcing=zero_forcing(d2),
                              v0=BlockVector.zeros(d2), T=0.0)
+        with pytest.raises(ValueError, match="T=inf must be finite"):
+            EvolutionProblem(A=ok, B=ok, forcing=zero_forcing(d2),
+                             v0=BlockVector.zeros(d2), T=np.inf)
 
 
 class TestWeightedStep:
@@ -291,6 +298,26 @@ class TestThreeLevelScheme:
             state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
             out = three_level_step(prob, cfg, state, prepare(prob, cfg), forcing_sample(prob, cfg, 1))
             assert (out.y - prob.v0).norm() <= 1e-13 * max(1.0, prob.v0.norm())
+
+    def test_one_operator_product_per_step(self, monkeypatch):
+        # the increment form applies only C = B + sigma*tau*A, to y^n - y^{n-1};
+        # the residual reuses the A y that run attaches to the state
+        prob = random_problem(np.random.default_rng(22), diag_b=False)
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=0.05, n_steps=2)
+        ws = prepare(prob, cfg)
+        init = three_level_init(prob, cfg, ws)
+        state = replace(init, a_y=prob.A.apply(init.y))
+        phi = forcing_sample(prob, cfg, 1)
+        applied = []
+        real_apply = BlockOperator.apply
+
+        def counting_apply(self, x):
+            applied.append(self)
+            return real_apply(self, x)
+
+        monkeypatch.setattr(BlockOperator, "apply", counting_apply)
+        three_level_step(prob, cfg, state, ws, phi)
+        assert applied == [ws.startup.shifted]
 
     @given(seeds)
     def test_matches_dense_recurrence(self, seed):
@@ -501,7 +528,7 @@ class TestBandedSchemes:
         for m, banded in ((31, False), (SPARSE_MIN_ORDER, True)):
             prob = manufactured_problem(example_porosity_spec(p=2, m=m)).problem
             ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
-            for op in (ws.c1_plus, ws.c2_plus, ws.c1_minus, ws.c2_minus):
+            for op in (ws.c1_plus, ws.c2_plus, ws.startup.shifted):
                 assert all(isinstance(blk, sp.csr_array) for blk in op.blocks.values())
             assert all((f.bandwidth is not None) == banded for f in ws.diag.factors)
 
