@@ -11,9 +11,9 @@ Exit code 0 means every asserted check passed, 1 means a check failed or a
 run broke down, 2 means the configuration or problem data were invalid.
 A run that breaks down (``RunStepError``, ``SolveFailureError``, or a
 ``NotPositiveDefiniteError`` from factoring an operator that is positive
-definite in exact arithmetic, such as an ill-conditioned estimate weight)
-ends the command with one ``error:`` line, except in ``stability``, which
-marks the cell ``fail`` and goes on.  The sweep runs its cells one after another.
+definite in exact arithmetic) ends the command with one ``error:`` line,
+except in ``stability``, which marks the cell ``fail`` and goes on.  The
+sweep runs its cells one after another.
 """
 
 from __future__ import annotations
@@ -397,18 +397,12 @@ def _stability_cell(problem, cfg: SchemeConfig):
     """One sweep cell: (min_slack, r_min_eig, status)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         observer = EnergyObserver() if cfg.kind is SchemeKind.THREE_LEVEL else EstimateObserver()
-        min_slack = None
-        scale = 1.0
-        failed = False
+        min_slack, scale = None, 1.0
         try:
             run(problem, cfg, observers=(observer,), keep_states=False)
-            min_slack = observer.min_slack
-            scale = max(observer.initial_energy, 1e-300)
-        except NotPositiveDefiniteError:
-            # estimate weight indefinite out of hypothesis; nothing to measure
-            min_slack = None
-        except (RunStepError, SolveFailureError):
-            failed = True
+            min_slack, scale = observer.min_slack, max(observer.initial_energy, 1e-300)
+        except (NotPositiveDefiniteError, RunStepError, SolveFailureError):
+            pass  # a breakdown, or a weight indefinite out of hypothesis: nothing to measure
         r_eig = None
         if cfg.kind is SchemeKind.THREE_LEVEL:
             if observer.initial_energy is None:
@@ -417,9 +411,7 @@ def _stability_cell(problem, cfg: SchemeConfig):
             r_eig = observer.diff_weight_min_eig()
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"
-    elif failed or min_slack is None or not np.isfinite(min_slack):
-        status = "fail"
-    elif min_slack >= -SLACK_REL_TOL * scale:
+    elif min_slack is not None and np.isfinite(min_slack) and min_slack >= -SLACK_REL_TOL * scale:
         status = "ok"
     else:
         status = "fail"

@@ -77,12 +77,12 @@ class SchemeConfig:
         object.__setattr__(self, "kind", SchemeKind(self.kind))
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma={self.sigma} outside the admitted range [0, 1]")
-        for name, value in (("tau", self.tau), ("epsilon", self.epsilon)):
+        for name, value in (("tau", self.tau), ("epsilon", self.epsilon), ("n_steps", self.n_steps)):
             if not value > 0.0:
                 raise ValueError(f"{name}={value} must be positive")
             if not np.isfinite(value):
                 raise ValueError(f"{name}={value} must be finite")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if int(self.n_steps) != self.n_steps:
             raise ValueError(f"n_steps={self.n_steps} must be a positive integer")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
@@ -145,10 +145,11 @@ class EvolutionProblem:
     T: float
 
     def __post_init__(self):
-        if self.A.dims.sizes != self.B.dims.sizes:
-            raise DimensionMismatchError(f"A dims {self.A.dims.sizes} != B dims {self.B.dims.sizes}")
-        if self.v0.dims.sizes != self.A.dims.sizes:
-            raise DimensionMismatchError(f"v0 dims {self.v0.dims.sizes} != A dims {self.A.dims.sizes}")
+        # an opaque callable forcing carries no dims to check
+        forcing = self.forcing if isinstance(self.forcing, ExponentialSumForcing) else self.A
+        for name, part in (("B", self.B), ("v0", self.v0), ("forcing", forcing)):
+            if part.dims.sizes != self.A.dims.sizes:
+                raise DimensionMismatchError(f"{name} dims {part.dims.sizes} != A dims {self.A.dims.sizes}")
         if not self.T > 0.0:
             raise ValueError(f"T={self.T} must be positive")
         if not np.isfinite(self.T):
@@ -277,6 +278,12 @@ def weighted_step(
     return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
 
 
+def _factorized_solve(B: BlockOperator, workspace: FactorizedWorkspace, rhs: BlockVector) -> BlockVector:
+    """P^{-1} rhs for P = (B + sigma*tau*A1) B^{-1} (B + sigma*tau*A2): two sweeps around a multiply by B."""
+    w = solve_block_lower(workspace.lower, rhs, workspace.diag)
+    return solve_block_upper(workspace.upper, B.apply(w), workspace.diag)
+
+
 def factorized_step(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
@@ -284,15 +291,8 @@ def factorized_step(
     workspace: FactorizedWorkspace,
     phi: BlockVector,
 ) -> SchemeState:
-    """One transition of the alternating triangular scheme.
-
-    Solves (B + sigma*tau*A1) B^{-1} (B + sigma*tau*A2) dy = tau (phi - A y)
-    as a forward sweep, a multiply by B, and a backward sweep.
-    """
-    g = _residual_rhs(problem, cfg, state, phi)
-    w = solve_block_lower(workspace.lower, g, workspace.diag)
-    v = problem.B.apply(w)
-    dy = solve_block_upper(workspace.upper, v, workspace.diag)
+    """One transition of the alternating triangular scheme: dy = P^{-1} tau (phi - A y)."""
+    dy = _factorized_solve(problem.B, workspace, _residual_rhs(problem, cfg, state, phi))
     return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
 
 

@@ -2,16 +2,13 @@
 
 One run observer per scheme family certifies its level-wise stability
 estimate: ``EstimateObserver`` for the weighted and factorized schemes,
-``EnergyObserver`` for the three-level scheme.  Each assembles exactly the
-weight operators that appear in its bound from the blocks, as sparse
-matrices (dense below ``SPARSE_MIN_ORDER``), factors the ones it solves with
-through ``factor_spd``, evaluates one energy per level by sparse products,
-and measures the slack (bound minus achieved value) per transition, so a
-certified run costs O(N) per step for banded operators at every size.
-``run_slacks`` recomputes the same slacks from a finished run's stored
-levels.  Nonnegative slack up to rounding is what the theory promises
-whenever its hypotheses hold; out of hypothesis the same quantities can
-still be probed but assert nothing.
+``EnergyObserver`` for the three-level scheme.  Each solves for its forcing
+term once per run, so a transition costs one energy by sparse products and
+no solve: O(N) per step for banded operators at every size.  ``run_slacks``
+recomputes the same slacks (bound minus achieved value) from a finished
+run's stored levels.  Nonnegative slack up to rounding is what the theory
+promises whenever its hypotheses hold; out of hypothesis the same
+quantities can still be probed but assert nothing.
 
 Reference solutions come from two deliberately independent routes: a
 closed-form modal solution through the generalized symmetric eigenproblem,
@@ -23,30 +20,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import (
-    BlockOperator,
-    BlockVector,
-    CertificateError,
-    TriangularPair,
-    triangular_split,
-    weighted_norm,
+from .blockops import BlockOperator, BlockVector, CertificateError, triangular_split, weighted_norm
+from .linsolve import (
+    SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
 )
-from .linsolve import SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SpdFactor, factor_spd
 from .schemes import (
     EvolutionProblem,
     ExponentialSumForcing,
     RunLog,
     RunObserver,
     SchemeConfig,
-    SchemeInapplicableError,
     SchemeKind,
     SchemeState,
+    _factorized_solve,
     forcing_sample,
     prepare,
     run,
@@ -55,77 +47,82 @@ from .schemes import (
 
 
 class UnsupportedForcingError(ValueError):
-    """Closed-form reference needs an exponential-sum forcing."""
+    """The computation needs an exponential-sum forcing."""
 
 
-class AssemblyError(RuntimeError):
-    """A derived operator lost a structural property it must have."""
-
-
-def _quad(mat, vec: np.ndarray) -> float:
-    return float(vec @ (mat @ vec))
-
-
-def _symmetrize_checked(mat, context: str, tol: float = 1e-10):
-    """The symmetric part of a dense or sparse matrix that is symmetric up to ``tol``."""
-    defect = float(abs(mat - mat.T).max())
-    scale = max(float(abs(mat).max()), 1e-300)
-    if defect > tol * scale:
-        raise AssemblyError(f"{context}: expected symmetric matrix, defect {defect:.3e}")
-    return 0.5 * (mat + mat.T)
+def _exponential_terms(problem: EvolutionProblem, purpose: str) -> tuple:
+    if not isinstance(problem.forcing, ExponentialSumForcing):
+        name = type(problem.forcing).__name__
+        raise UnsupportedForcingError(f"{purpose} requires an exponential-sum forcing; got {name}")
+    return problem.forcing.terms
 
 
 def _whole(op: BlockOperator):
-    """The operator as one matrix: dense below ``SPARSE_MIN_ORDER``, CSR above.
-
-    The same crossover ``factor_spd`` uses: below it a dense product costs
-    less in call overhead than a sparse one (CSR weights measured slower at
-    N = 62).  The estimate weights are assembled by the same expressions in
-    either storage.
-    """
+    """The operator as one matrix: dense below ``SPARSE_MIN_ORDER``, CSR above,
+    the crossover of ``factor_spd`` (at N = 62 CSR weights measured slower)."""
     return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
 
 
-def _a1_binv_a2(B: BlockOperator, split: TriangularPair):
-    """A1 B^{-1} A2 for a block-diagonal B, A1 and A2 the triangular split of A.
+# CG on the factorized weight stops once an increment of (W^{-1} v, v) is this
+# small against the sum so far.  As P - 2 sigma tau A = (B - sigma*tau*A1)
+# B^{-1} (B - sigma*tau*A2) >= 0, P^{-1} W has its spectrum in [1 - 1/(4 sigma), 1),
+# cond <= 2 for sigma >= 1/2, so only out of hypothesis can the budget run out.
+_CG_RTOL = 1e-15
+_CG_BUDGET = 50
 
-    When B is a diagonal matrix, B^{-1} is a sparse diagonal and the product
-    keeps the storage of A.  Otherwise B^{-1} A2 is formed exactly by solves
-    with the factored diagonal blocks of B, and the product is dense.
+
+def _factorized_weight(problem: EvolutionProblem, cfg: SchemeConfig) -> tuple[Callable, Callable]:
+    """Solve and product with the factorized weight W = S B^{-1} S^T - (tau/2) A.
+
+    S = B + sigma*tau*A1 and S^T are the scheme's workspace operators; CG is
+    preconditioned by the step's own solve with P = S B^{-1} S^T.  Assembled at
+    N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2 (about 1e14) would
+    drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
     """
-    if not B.is_block_diagonal():
-        raise SchemeInapplicableError("factorized estimate needs a block-diagonal B")
-    a1, a2, b = _whole(split.lower), _whole(split.upper), _whole(B)
-    rows, cols = b.nonzero()
-    if np.array_equal(rows, cols):
-        return a1 @ (sp.diags_array(1.0 / b.diagonal()) @ a2)
-    factors = DiagFactorization.from_operator(B)
-    off = B.dims.offsets
-    a2 = a2.toarray() if sp.issparse(a2) else a2
-    return a1 @ np.vstack([factors.solve_block(c, a2[off[c] : off[c + 1]]) for c in range(B.dims.p)])
+    ws = prepare(problem, cfg)
+    s, s_t, a = ws.lower.to_sparse(), ws.upper.to_sparse(), problem.A.to_sparse()
+    b_factors = DiagFactorization.from_operator(problem.B)
+    off = problem.dims.offsets
+
+    def apply_w(x):
+        y = s_t @ x
+        y = np.concatenate([b_factors.solve_block(c, y[off[c] : off[c + 1]]) for c in range(len(off) - 1)])
+        return s @ y - (0.5 * cfg.tau) * (a @ x)
+
+    def precondition(r):
+        return _factorized_solve(problem.B, ws, BlockVector(problem.dims, r)).to_flat()
+
+    def solve(v):
+        d = z = precondition(v)
+        x, r, rz, form = np.zeros_like(v), v, float(v @ z), 0.0
+        for k in range(1, _CG_BUDGET + 1):
+            q = apply_w(d)
+            curvature = float(d @ q)
+            if not curvature > 0.0:
+                raise NotPositiveDefiniteError(
+                    f"estimate weight: not positive definite, CG curvature {curvature:.3e} at iteration {k}", k
+                )
+            alpha = rz / curvature
+            x, r, form = x + alpha * d, r - alpha * q, form + alpha * rz
+            if alpha * rz <= _CG_RTOL * form:
+                return x
+            z = precondition(r)
+            rz, rz_prev = float(r @ z), rz
+            d = z + (rz / rz_prev) * d
+        raise SolveFailureError(f"estimate weight: CG did not converge in {_CG_BUDGET} iterations")
+
+    return solve, apply_w
 
 
-def _forcing_term(tau: float, factor: SpdFactor, phi: BlockVector) -> float:
-    """(tau/2) (M^{-1} phi, phi) for the factored weight M; a zero phi skips the solve."""
-    f = phi.to_flat()
-    if not f.any():
-        return 0.0
-    return 0.5 * tau * float(f @ factor.solve(f))
+class _LevelObserver(RunObserver):
+    """The forcing term and the slack bookkeeping of both observers.
 
-
-class EstimateObserver(RunObserver):
-    """Certifies the level-wise bound of the weighted and factorized schemes.
-
-    The bound reads ||y^{n+1}||_A^2 <= ||y^n||_A^2 + (tau/2) (W^{-1} phi, phi)
-    with W = B + (sigma - 1/2) tau A for the weighted scheme and the same
-    plus sigma^2 tau^2 A1 B^{-1} A2 for the factorized one.  ``initial``
-    assembles W from the blocks and factors it with ``factor_spd`` (banded
-    above ``SPARSE_MIN_ORDER``), so an indefinite W (possible out of
-    hypothesis) raises instead of producing meaningless numbers.  The energy
-    of a level is the square of the A-norm ``run`` attaches to it.  The
-    observer keeps the energy of the last level it saw, so a transition
-    evaluates one energy: transitions must follow on from the level
-    ``initial`` saw, as ``run`` calls them.
+    For phi(t) = sum_k exp(r_k t) v_k and the weight M of the forcing term,
+    (M^{-1} phi, phi) = sum_jk exp((r_j + r_k) t) G_jk.  ``assemble`` solves
+    M g_k = v_k once per nonzero term; G_jk = (g_j, v_k) + (g_k, v_j) - (M g_j, g_k)
+    has an error quadratic in those of the g_k, (g_j, v_k) alone a linear one.
+    Transitions must follow on from the level ``initial`` saw, as ``run``
+    calls them: the last energy is kept, and ``prev.n`` indexes the forcing.
     """
 
     def __init__(self):
@@ -133,40 +130,72 @@ class EstimateObserver(RunObserver):
         self.initial_energy: Optional[float] = None
         self._last: Optional[float] = None
 
+    def _solve_forcing(self, problem: EvolutionProblem, cfg: SchemeConfig, solve: Callable, apply: Callable):
+        terms = _exponential_terms(problem, "estimate forcing term")
+        shape = (len(terms), problem.dims.total)
+        vecs = np.array([vec.to_flat() for _, vec in terms]).reshape(shape)
+        # a term whose vector is zero costs no solve and no product
+        sols = np.array([solve(v) if v.any() else v for v in vecs]).reshape(shape)
+        products = np.array([apply(g) if g.any() else g for g in sols]).reshape(shape)
+        gram = sols @ vecs.T + vecs @ sols.T - sols @ products.T
+        rates = [rate for rate, _ in terms]
+        self._terms = [(rj + rk, float(g)) for rj, row in zip(rates, gram) for rk, g in zip(rates, row)]
+        self._tau, self._sigma = cfg.tau, cfg.sigma
+
+    def forcing_term(self, n: int) -> float:
+        """(tau/2) (M^{-1} phi, phi) for the forcing sample phi of transition n."""
+        t = (n + self._sigma) * self._tau
+        return 0.5 * self._tau * sum(g * math.exp(rate * t) for rate, g in self._terms)
+
+    def _start(self, problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState) -> float:
+        self.assemble(problem, cfg)
+        self.initial_energy = self._last = self.energy(state)
+        return self._last
+
+    def _slack(self, prev: SchemeState, new: SchemeState) -> float:
+        bound = self._last + self.forcing_term(prev.n)
+        self._last = self.energy(new)
+        self.min_slack = min(self.min_slack, bound - self._last)
+        return bound - self._last
+
+
+class EstimateObserver(_LevelObserver):
+    """Certifies the level-wise bound of the weighted and factorized schemes.
+
+    The bound reads ||y^{n+1}||_A^2 <= ||y^n||_A^2 + (tau/2) (W^{-1} phi, phi)
+    with W = B + (sigma - 1/2) tau A for the weighted scheme, factored by
+    ``factor_spd``, and W = P - (tau/2) A for the factorized one, P its
+    transition operator, solved by CG.  An indefinite W (possible out of
+    hypothesis) raises ``NotPositiveDefiniteError``.  The energy of a level
+    is the square of the A-norm ``run`` attaches to it.
+    """
+
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """The factored weight W; ``initial`` calls this."""
+        """W^{-1} v_k for every forcing term; ``initial`` calls this."""
         if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
             raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
-        self._tau = cfg.tau
         self._A = problem.A
-        w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
-        if cfg.kind is SchemeKind.FACTORIZED:
-            w = w + (cfg.sigma * cfg.tau) ** 2 * _a1_binv_a2(problem.B, triangular_split(problem.A))
-        self._weight_factor = factor_spd(_symmetrize_checked(w, "estimate weight"), context="estimate weight")
+        if cfg.kind is SchemeKind.WEIGHTED:
+            w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
+            solve, apply = factor_spd(w, context="estimate weight").solve, (lambda x: w @ x)
+        else:
+            solve, apply = _factorized_weight(problem, cfg)
+        self._solve_forcing(problem, cfg, solve, apply)
 
     def energy(self, state: SchemeState) -> float:
         """||y^n||_A^2, from the norm ``run`` attached to the state if there is one."""
         norm_a = weighted_norm(self._A, state.y) if state.norm_a is None else state.norm_a
         return norm_a**2
 
-    def forcing_term(self, phi: BlockVector) -> float:
-        """(tau/2) (W^{-1} phi, phi)."""
-        return _forcing_term(self._tau, self._weight_factor, phi)
-
     def initial(self, problem, cfg, state):
-        self.assemble(problem, cfg)
-        self.initial_energy = self._last = self.energy(state)
+        self._start(problem, cfg, state)
         return {}
 
     def transition(self, problem, cfg, prev, new, phi):
-        bound = self._last + self.forcing_term(phi)
-        self._last = self.energy(new)
-        slack = bound - self._last
-        self.min_slack = min(self.min_slack, slack)
-        return {"slack": slack}
+        return {"slack": self._slack(prev, new)}
 
 
-class EnergyObserver(RunObserver):
+class EnergyObserver(_LevelObserver):
     """Certifies the energy bound of the three-level factorized scheme.
 
     With C1 = B1 + sigma*tau*A1, C2 = B2 + sigma*tau*A2, C = B + sigma*tau*A,
@@ -177,45 +206,34 @@ class EnergyObserver(RunObserver):
     obeys E_{n+1} <= E_n + (tau/2) (C^{-1} phi^n, phi^n) for sigma >= 1,
     where R is positive definite.  ``initial`` assembles R from the
     triangular splits (sparse above ``SPARSE_MIN_ORDER``) for any admitted
-    sigma, so out-of-hypothesis behavior can be probed: R is checked
-    symmetric but not positive definite.  It also factors C.  As in
-    ``EstimateObserver``, the energy of the last level seen is kept, so a
-    transition evaluates one energy.
+    sigma, so out-of-hypothesis behavior can be probed: R is not checked
+    positive definite.  C is factored by ``factor_spd``.
     """
 
-    def __init__(self):
-        self.min_slack = math.inf
-        self.initial_energy: Optional[float] = None
-        self._last: Optional[float] = None
-
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """A and R, and the factored C; ``initial`` calls this."""
+        """A and R, and C^{-1} v_k for every forcing term; ``initial`` calls this."""
         if cfg.kind is not SchemeKind.THREE_LEVEL:
             raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
-        self._tau = cfg.tau
         self._a = _whole(problem.A)
-        a_split = triangular_split(problem.A)
-        b_split = triangular_split(problem.B)
+        a_split, b_split = triangular_split(problem.A), triangular_split(problem.B)
         st = cfg.sigma * cfg.tau
         c1 = _whole(b_split.lower) + st * _whole(a_split.lower)
         c2 = _whole(b_split.upper) + st * _whole(a_split.upper)
         # a sparse identity added to a dense matrix gives a dense one
         eye = sp.eye_array(problem.dims.total, format="csr")
-        d = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * eye)
-        self._r = _symmetrize_checked(d - (cfg.tau**2 / 4.0) * self._a, "difference weight")
+        r = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * eye) - (cfg.tau**2 / 4.0) * self._a
+        # symmetric up to rounding: triangular_split certified A and B symmetric
+        self._r = 0.5 * (r + r.T)
         c = _whole(problem.B) + st * self._a
-        self._c_factor = factor_spd(_symmetrize_checked(c, "transition operator"), context="B + sigma*tau*A")
+        self._solve_forcing(problem, cfg, factor_spd(c, context="B + sigma*tau*A").solve, lambda x: c @ x)
 
     def energy(self, state: SchemeState) -> float:
         """E_n of the pair (y^n, y^{n-1})."""
         if state.y_prev is None:
             raise ValueError("three-level energy needs a state carrying its previous level")
         y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
-        return _quad(self._a, 0.5 * (y + y_prev)) + _quad(self._r, (y - y_prev) / self._tau)
-
-    def forcing_term(self, phi: BlockVector) -> float:
-        """(tau/2) (C^{-1} phi, phi)."""
-        return _forcing_term(self._tau, self._c_factor, phi)
+        mean, rate = 0.5 * (y + y_prev), (y - y_prev) / self._tau
+        return float(mean @ (self._a @ mean)) + float(rate @ (self._r @ rate))
 
     def diff_weight(self):
         """The assembled R: dense below ``SPARSE_MIN_ORDER``, CSR above."""
@@ -263,15 +281,10 @@ class EnergyObserver(RunObserver):
         return float(lam)
 
     def initial(self, problem, cfg, state):
-        self.assemble(problem, cfg)
-        self.initial_energy = self._last = self.energy(state)
-        return {"energy": self._last}
+        return {"energy": self._start(problem, cfg, state)}
 
     def transition(self, problem, cfg, prev, new, phi):
-        bound = self._last + self.forcing_term(phi)
-        self._last = self.energy(new)
-        slack = bound - self._last
-        self.min_slack = min(self.min_slack, slack)
+        slack = self._slack(prev, new)
         return {"energy": self._last, "slack": slack}
 
 
@@ -295,11 +308,10 @@ def run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> lis
     def level(n: int) -> SchemeState:
         return SchemeState(n, n * cfg.tau, levels[n], levels[n - 1] if three_level else None)
 
-    slacks = []
-    for n in range(1 if three_level else 0, len(levels) - 1):
-        bound = observer.energy(level(n)) + observer.forcing_term(forcing_sample(problem, cfg, n))
-        slacks.append(bound - observer.energy(level(n + 1)))
-    return slacks
+    return [
+        observer.energy(level(n)) + observer.forcing_term(n) - observer.energy(level(n + 1))
+        for n in range(1 if three_level else 0, len(levels) - 1)
+    ]
 
 # ---------------------------------------------------------------------------
 # Reference solutions.
@@ -322,19 +334,14 @@ def reference_solution(problem: EvolutionProblem, t: float) -> BlockVector:
     rate.  Near-resonant rates (lambda + rate close to 0) go through a
     stabilized phi1 evaluation instead of the difference quotient.
     """
-    forcing = problem.forcing
-    if not isinstance(forcing, ExponentialSumForcing):
-        raise UnsupportedForcingError(
-            "closed-form reference requires an exponential-sum forcing; "
-            f"got {type(forcing).__name__}"
-        )
+    terms = _exponential_terms(problem, "closed-form reference")
     ad = problem.A.to_dense()
     bd = problem.B.to_dense()
     lam, modes = eigh(ad, bd)
     if lam[0] <= 0.0:
         raise CertificateError(f"generalized spectrum must be positive, min is {lam[0]:.6e}")
     z = np.exp(-lam * t) * (modes.T @ (bd @ problem.v0.to_flat()))
-    for rate, vec in forcing.terms:
+    for rate, vec in terms:
         g = modes.T @ vec.to_flat()
         s = (lam + rate) * t
         duhamel = np.empty_like(lam)

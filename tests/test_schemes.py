@@ -78,6 +78,10 @@ class TestSchemeConfig:
             SchemeConfig("weighted", sigma=0.5, tau=np.inf, n_steps=1)
         with pytest.raises(ValueError, match="epsilon=inf must be finite"):
             SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=1, epsilon=np.inf)
+        with pytest.raises(ValueError, match="n_steps=inf must be finite"):
+            SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=np.inf)
+        with pytest.raises(ValueError, match="n_steps=nan must be positive"):
+            SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=np.nan)
 
     def test_thresholds_and_hypothesis_flag(self):
         weighted = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
@@ -152,6 +156,9 @@ class TestEvolutionProblem:
         with pytest.raises(ValueError, match="T=inf must be finite"):
             EvolutionProblem(A=ok, B=ok, forcing=zero_forcing(d2),
                              v0=BlockVector.zeros(d2), T=np.inf)
+        with pytest.raises(DimensionMismatchError, match="forcing dims"):
+            EvolutionProblem(A=ok, B=ok, forcing=zero_forcing(d3),
+                             v0=BlockVector.zeros(d2), T=1.0)
 
 
 class TestWeightedStep:

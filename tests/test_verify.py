@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from splitstep import (
     example_coupled_spec,
     example_porosity_spec,
     forcing_sample,
+    laplacian_min_eig,
     manufactured_problem,
     prepare,
     reference_solution,
@@ -36,12 +38,8 @@ from splitstep import (
     weighted_step,
     zero_forcing,
 )
-from splitstep.verify import (
-    AssemblyError,
-    CompareReport,
-    CompareRow,
-    _symmetrize_checked,
-)
+from splitstep import linsolve, schemes, verify
+from splitstep.verify import CompareReport, CompareRow
 
 from helpers import (
     dense_diff_weight,
@@ -61,6 +59,10 @@ def observed(observer, prob, cfg, state=None):
     """``observer`` after ``initial`` on ``state``, by default level 0."""
     observer.initial(prob, cfg, state or SchemeState(0, 0.0, prob.v0))
     return observer
+
+
+def scalar(value):
+    return BlockVector.from_parts(BlockDims((1,)), ([value],))
 
 
 class TestTwoLevelEstimate:
@@ -88,11 +90,10 @@ class TestTwoLevelEstimate:
 
     def test_scalar_forcing_term_at_half_weight(self):
         # W collapses to B at sigma = 1/2: (tau/2) phi^2 / b
-        prob = scalar_problem(a=2.0, b=2.0, v0=1.0)
+        prob = scalar_problem(a=2.0, b=2.0, v0=1.0, forcing=constant_forcing(scalar(3.0)))
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
         obs = observed(EstimateObserver(), prob, cfg)
-        phi = BlockVector.from_parts(prob.dims, ([3.0],))
-        assert obs.forcing_term(phi) == pytest.approx(0.225, abs=1e-15)
+        assert obs.forcing_term(0) == pytest.approx(0.225, abs=1e-15)
 
     def test_factorized_weight_matches_expanded_operator(self):
         rng = np.random.default_rng(13)
@@ -101,15 +102,17 @@ class TestTwoLevelEstimate:
         obs = observed(EstimateObserver(), prob, cfg)
         _, expanded = factorized_operator_dense(prob, cfg)
         w = expanded - 0.5 * cfg.tau * prob.A.to_dense()
-        phi = BlockVector(prob.dims, rng.standard_normal(prob.dims.total))
-        f = phi.to_flat()
-        want = 0.5 * cfg.tau * float(f @ np.linalg.solve(w, f))
-        assert obs.forcing_term(phi) == pytest.approx(want, rel=1e-11)
+        for n in range(3):
+            f = forcing_sample(prob, cfg, n).to_flat()
+            want = 0.5 * cfg.tau * float(f @ np.linalg.solve(w, f))
+            assert obs.forcing_term(n) == pytest.approx(want, rel=1e-11)
 
-    def test_indefinite_weight_raises(self):
-        # sigma = 0 and a large step push W = B - tau/2 A below zero
-        prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
-        cfg = SchemeConfig("weighted", sigma=0.0, tau=2.0, n_steps=1)
+    @pytest.mark.parametrize("kind", ["weighted", "factorized"])
+    def test_indefinite_weight_raises(self, kind):
+        # sigma = 0 and a large step push W = B - tau/2 A below zero: W = -1
+        # for both kinds; the factorized W meets it as CG curvature
+        prob = scalar_problem(a=2.0, b=1.0, v0=1.0, forcing=constant_forcing(scalar(1.0)))
+        cfg = SchemeConfig(kind, sigma=0.0, tau=2.0, n_steps=1)
         with pytest.raises(NotPositiveDefiniteError):
             observed(EstimateObserver(), prob, cfg)
 
@@ -122,13 +125,15 @@ class TestTwoLevelEstimate:
         norms = [rec.norm_a for rec in log.records]
         for n, rec in enumerate(log.records[1:]):
             assert rec.extras["slack"] == norms[n] ** 2 - norms[n + 1] ** 2
-        obs = observed(EstimateObserver(), prob, cfg)
 
         def no_solve(self, rhs, check_finite=True):
             raise AssertionError("solved with a zero right-hand side")
 
+        # a term whose vector is zero is skipped: no solve, no CG iteration
         monkeypatch.setattr(SpdFactor, "solve", no_solve)
-        assert obs.forcing_term(BlockVector.zeros(prob.dims)) == 0.0
+        zero_term = ExponentialSumForcing(prob.dims, ((-1.0, BlockVector.zeros(prob.dims)),))
+        obs = observed(EstimateObserver(), replace(prob, forcing=zero_term), cfg)
+        assert obs.forcing_term(0) == 0.0
 
     def test_class_and_function_agree(self):
         # the observer's streaming slack and the recomputation from a run's states
@@ -203,13 +208,6 @@ class TestThreeLevelEstimate:
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
         with pytest.raises(ValueError, match="previous level"):
             observed(EnergyObserver(), prob, cfg, SchemeState(1, 0.1, prob.v0))
-
-
-def test_symmetrize_checked_flags_asymmetry():
-    with pytest.raises(AssemblyError, match="defect"):
-        _symmetrize_checked(np.array([[0.0, 1.0], [0.0, 0.0]]), "probe")
-    out = _symmetrize_checked(np.array([[1.0, 0.5], [0.5, 2.0]]), "probe")
-    np.testing.assert_array_equal(out, [[1.0, 0.5], [0.5, 2.0]])
 
 
 class TestFactorizedOperatorChecks:
@@ -305,6 +303,56 @@ def test_one_energy_evaluation_per_level(monkeypatch, kind, sigma, diag_b):
     assert evaluated == list(range(first, cfg.n_steps + 1))
 
 
+@pytest.mark.parametrize(
+    "kind, sigma, diag_b", [("weighted", 0.75, False), ("factorized", 0.5, True), ("three_level", 1.0, False)]
+)
+def test_transitions_make_no_solve(monkeypatch, kind, sigma, diag_b):
+    # every forcing term is solved for once, in initial; a transition only
+    # sums the K-by-K terms
+    prob = random_problem(np.random.default_rng(24), diag_b=diag_b)
+    cfg = SchemeConfig(kind, sigma=sigma, tau=0.05, n_steps=6)
+    states = run(prob, cfg).states
+    first = 1 if kind == "three_level" else 0
+    levels = [
+        SchemeState(n, n * cfg.tau, states[n], states[n - 1] if first else None)
+        for n in range(first, cfg.n_steps + 1)
+    ]
+    obs = observed(EnergyObserver() if first else EstimateObserver(), prob, cfg, levels[0])
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SpdFactor, "solve", counted("solve", SpdFactor.solve))
+    for module in (linsolve, schemes, verify):
+        for name in ("solve_block_lower", "solve_block_upper"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for prev, new in zip(levels, levels[1:]):
+        obs.transition(prob, cfg, prev, new, forcing_sample(prob, cfg, prev.n))
+    assert calls == []
+    run(prob, cfg, keep_states=False)  # the counters do see the scheme's solves
+    assert "solve" in calls
+
+
+@pytest.mark.parametrize(
+    "observer, kind",
+    [(EstimateObserver, "weighted"), (EstimateObserver, "factorized"), (EnergyObserver, "three_level")],
+)
+def test_opaque_forcing_is_unsupported(observer, kind):
+    # the forcing term is summed from the terms of an exponential-sum forcing
+    prob = scalar_problem()
+    opaque = replace(prob, forcing=lambda t: prob.forcing(t))
+    cfg = SchemeConfig(kind, sigma=1.0, tau=0.1, n_steps=2)
+    state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
+    with pytest.raises(UnsupportedForcingError, match="exponential-sum"):
+        observer().initial(opaque, cfg, state)
+
+
 SPARSE_ORACLE_GRIDS = [(2, 31), (4, 255)]
 
 
@@ -350,14 +398,22 @@ class TestSparseObservers:
         assert obs.diff_weight_min_eig() == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "kind, sigma, spec",
+        "kind, sigma, spec, tau",
         [
-            ("weighted", 0.5, example_coupled_spec),
-            ("factorized", 0.5, example_coupled_spec),
-            ("three_level", 1.0, example_porosity_spec),
+            ("weighted", 0.5, example_coupled_spec, 1 / 128),
+            ("factorized", 0.5, example_coupled_spec, 1 / 128),
+            ("three_level", 1.0, example_porosity_spec, 1 / 128),
+            # an assembled factorized W did not factor here: cond(W) is past 1/eps
+            ("factorized", 0.5, example_coupled_spec, 1 / 8),
+        ],
+        ids=[
+            "weighted-0.5-example_coupled_spec",
+            "factorized-0.5-example_coupled_spec",
+            "three_level-1.0-example_porosity_spec",
+            "factorized-0.5-example_coupled_spec-tau0.125",
         ],
     )
-    def test_certified_run_at_m65535_never_densifies(self, monkeypatch, kind, sigma, spec):
+    def test_certified_run_at_m65535_never_densifies(self, monkeypatch, kind, sigma, spec, tau):
         prob = manufactured_problem(spec(p=2, m=65_535)).problem
 
         def refuse(*args, **kwargs):
@@ -368,10 +424,31 @@ class TestSparseObservers:
             monkeypatch.setattr(cls, "toarray", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        cfg = SchemeConfig(kind, sigma=sigma, tau=1.0 / 128, n_steps=8)
+        cfg = SchemeConfig(kind, sigma=sigma, tau=tau, n_steps=8)
         obs = EnergyObserver() if kind == "three_level" else EstimateObserver()
         run(prob, cfg, observers=(obs,), keep_states=False)
         assert obs.min_slack >= -1e-10 * obs.initial_energy
+
+    @pytest.mark.parametrize("sigma, tau", [(0.5, 1 / 128), (1.0, 1 / 64), (0.5, 1 / 8)])
+    def test_factorized_forcing_term_at_m65535_is_modal(self, sigma, tau):
+        # each component of v = (A - B) profile is a multiple of the sine
+        # mode s, and every block acts on s as a scalar: (W^{-1} v, v) =
+        # (s, s) w^T W_m^{-1} w, with W_m = b + (sigma - 1/2) tau K
+        # + sigma^2 tau^2 K1 b^{-1} K1^T, K = k lambda_1 + r, K1 the lower
+        # triangle of K with half its diagonal, and w = (K - b) c
+        m = 65_535
+        spec = example_coupled_spec(p=2, m=m)
+        prob = manufactured_problem(spec).problem
+        K = spec.k * laplacian_min_eig(m) + spec.r
+        K1 = np.tril(K, -1) + 0.5 * np.diag(np.diag(K))
+        w_m = spec.b + (sigma - 0.5) * tau * K + (sigma * tau) ** 2 * K1 @ np.linalg.solve(spec.b, K1.T)
+        w = (K - spec.b) @ np.array([1.0, 2.0])
+        s = np.sin(np.pi * spec.grid)
+        # the forcing decays at rate 1 and transition 0 samples it at sigma * tau
+        want = 0.5 * tau * math.exp(-2.0 * sigma * tau) * (s @ s) * float(w @ np.linalg.solve(w_m, w))
+        cfg = SchemeConfig("factorized", sigma=sigma, tau=tau, n_steps=8)
+        obs = observed(EstimateObserver(), prob, cfg)
+        assert obs.forcing_term(0) == pytest.approx(want, rel=1e-6)
 
 
 class TestReferenceSolution:
