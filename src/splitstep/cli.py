@@ -51,6 +51,7 @@ from .schemes import (
     SchemeInapplicableError,
     SchemeKind,
     constant_forcing,
+    prepare,
     run,
     zero_forcing,
 )
@@ -407,7 +408,7 @@ def _stability_cell(problem, cfg: SchemeConfig):
         if cfg.kind is SchemeKind.THREE_LEVEL:
             if observer.initial_energy is None:
                 # the run broke in its startup step, before initial assembled R
-                observer.assemble(problem, cfg)
+                observer.assemble(problem, cfg, prepare(problem, cfg))
             r_eig = observer.diff_weight_min_eig()
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"

@@ -22,6 +22,10 @@ natural block order and a few p after the reordering, so a step costs O(N)
 once the factor exists; the diagonal blocks of the 1-D problems are
 tridiagonal.
 
+A sweep walks the plan its frozen operator settles once, the off-diagonal
+blocks of each block row (``BlockOperator.off_diagonal_rows``), and makes
+each product with ``blockops.matvec``.
+
 The per-step solves skip LAPACK's scan of the right-hand side for non-finite
 values (``check_finite=False``); ``schemes.run`` checks every new level
 instead, and the full solve's backward-error test fails on a NaN residual.
@@ -36,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchError
+from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchError, matvec
 
 # Matrices of this order and above are factored banded; smaller ones are
 # densified and factored dense, where band storage costs more in call
@@ -213,36 +217,37 @@ class DiagFactorization:
         return self.factors[a].solve(rhs, check_finite=False)
 
 
-def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, order: range) -> BlockVector:
-    """Block substitution in the given component order: each component's
-    right-hand side loses the blocks of the components already solved."""
+def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, descending: bool) -> BlockVector:
+    """Block substitution, components in ascending or descending order: each
+    component's right-hand side loses the blocks of the components already
+    solved, one at a time in the order they were solved.  The blocks come from
+    the operator's cached plan (``BlockOperator.off_diagonal_rows``)."""
     if T.dims.sizes != rhs.dims.sizes:
         raise DimensionMismatchError(f"dims {T.dims.sizes} != {rhs.dims.sizes}")
     off = T.dims.offsets
+    plan = T.off_diagonal_rows
     b = rhs.to_flat()
     x = np.empty_like(b)
-    for i, a in enumerate(order):
+    for a in range(T.dims.p - 1, -1, -1) if descending else range(T.dims.p):
         acc = b[off[a] : off[a + 1]]
-        for c in order[:i]:
-            blk = T.blocks.get((a, c))
-            if blk is not None:
-                acc = acc - blk @ x[off[c] : off[c + 1]]
+        for c, blk in reversed(plan[a]) if descending else plan[a]:
+            acc = acc - matvec(blk, x[off[c] : off[c + 1]])
         x[off[a] : off[a + 1]] = diag.solve_block(a, acc)
-    return BlockVector(T.dims, x)
+    return BlockVector._own(T.dims, x)
 
 
 def solve_block_lower(L: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Forward substitution for a block lower triangular operator."""
     if not L.is_block_lower():
         raise BlockStructureError("operator has blocks above the diagonal, not lower triangular")
-    return _substitute(L, rhs, diag, range(L.dims.p))
+    return _substitute(L, rhs, diag, descending=False)
 
 
 def solve_block_upper(U: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Backward substitution for a block upper triangular operator."""
     if not U.is_block_upper():
         raise BlockStructureError("operator has blocks below the diagonal, not upper triangular")
-    return _substitute(U, rhs, diag, range(U.dims.p - 1, -1, -1))
+    return _substitute(U, rhs, diag, descending=True)
 
 
 def solve_spd_full(M: BlockOperator, rhs: BlockVector, factor: SpdFactor) -> BlockVector:
@@ -256,7 +261,7 @@ def solve_spd_full(M: BlockOperator, rhs: BlockVector, factor: SpdFactor) -> Blo
     if M.dims.sizes != rhs.dims.sizes:
         raise DimensionMismatchError(f"dims {M.dims.sizes} != {rhs.dims.sizes}")
     b = rhs.to_flat()
-    out = BlockVector(M.dims, factor.solve(b, check_finite=False))
+    out = BlockVector._own(M.dims, factor.solve(b, check_finite=False))
     x = out.to_flat()
     # measure against the operator, not the factor, so a stale or mismatched
     # factorization is caught and not just LAPACK breakage

@@ -118,7 +118,7 @@ class ExponentialSumForcing:
         out = np.zeros(self.dims.total)
         for rate, vec in self.terms:
             out += float(np.exp(rate * t)) * vec.to_flat()
-        return BlockVector(self.dims, out)
+        return BlockVector._own(self.dims, out)
 
 
 def zero_forcing(dims: BlockDims) -> ExponentialSumForcing:
@@ -341,11 +341,16 @@ def three_level_step(
 class RunObserver:
     """Hook points for per-level diagnostics during a run.
 
-    Both hooks return a mapping of extra column values merged into the
-    produced records.  ``initial`` sees the first state that the scheme's
-    recurrences start from (level 0 for two-level schemes, level 1 for the
-    three-level scheme).
+    ``prepared`` sees the run's workspace, the result of ``prepare``, before
+    any level exists, so an observer can reuse its operators and factors; it
+    does nothing by default.  ``initial`` and ``transition`` return a mapping
+    of extra column values merged into the produced records.  ``initial``
+    sees the first state that the scheme's recurrences start from (level 0
+    for two-level schemes, level 1 for the three-level scheme).
     """
+
+    def prepared(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
+        pass
 
     def initial(self, problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState) -> dict:
         return {}
@@ -406,6 +411,8 @@ def run(
 ) -> RunLog:
     """March cfg.n_steps transitions from u(0) and record every level 0..n_steps."""
     workspace = prepare(problem, cfg)
+    for obs in observers:
+        obs.prepared(problem, cfg, workspace)
     records: list[RunRecord] = []
     states: list[BlockVector] = []
 

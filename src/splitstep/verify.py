@@ -2,13 +2,15 @@
 
 One run observer per scheme family certifies its level-wise stability
 estimate: ``EstimateObserver`` for the weighted and factorized schemes,
-``EnergyObserver`` for the three-level scheme.  Each solves for its forcing
-term once per run, so a transition costs one energy by sparse products and
-no solve: O(N) per step for banded operators at every size.  ``run_slacks``
-recomputes the same slacks (bound minus achieved value) from a finished
-run's stored levels.  Nonnegative slack up to rounding is what the theory
-promises whenever its hypotheses hold; out of hypothesis the same
-quantities can still be probed but assert nothing.
+``EnergyObserver`` for the three-level scheme.  Each takes the operators
+and factors it needs from the run's own workspace, which ``run`` hands it
+through the ``prepared`` hook, and solves for its forcing term once per run,
+so a transition costs one energy by sparse products and no solve: O(N) per
+step for banded operators at every size.  ``run_slacks`` recomputes the
+same slacks (bound minus achieved value) from a finished run's stored
+levels.  Nonnegative slack up to rounding is what the theory promises
+whenever its hypotheses hold; out of hypothesis the same quantities can
+still be probed but assert nothing.
 
 Reference solutions come from two deliberately independent routes: a
 closed-form modal solution through the generalized symmetric eigenproblem,
@@ -26,13 +28,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import BlockOperator, BlockVector, CertificateError, triangular_split, weighted_norm
+from .blockops import BlockOperator, BlockVector, CertificateError, matvec, triangular_split, weighted_norm
 from .linsolve import (
     SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
 )
 from .schemes import (
     EvolutionProblem,
     ExponentialSumForcing,
+    FactorizedWorkspace,
     RunLog,
     RunObserver,
     SchemeConfig,
@@ -63,6 +66,13 @@ def _whole(op: BlockOperator):
     return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
 
 
+def _product(matrix) -> Callable:
+    """x -> matrix @ x, by ``blockops.matvec`` for a CSR matrix."""
+    if sp.issparse(matrix):
+        return lambda x: matvec(matrix, x)
+    return lambda x: matrix @ x
+
+
 # CG on the factorized weight stops once an increment of (W^{-1} v, v) is this
 # small against the sum so far.  As P - 2 sigma tau A = (B - sigma*tau*A1)
 # B^{-1} (B - sigma*tau*A2) >= 0, P^{-1} W has its spectrum in [1 - 1/(4 sigma), 1),
@@ -71,26 +81,27 @@ _CG_RTOL = 1e-15
 _CG_BUDGET = 50
 
 
-def _factorized_weight(problem: EvolutionProblem, cfg: SchemeConfig) -> tuple[Callable, Callable]:
+def _factorized_weight(
+    problem: EvolutionProblem, cfg: SchemeConfig, ws: FactorizedWorkspace
+) -> tuple[Callable, Callable]:
     """Solve and product with the factorized weight W = S B^{-1} S^T - (tau/2) A.
 
-    S = B + sigma*tau*A1 and S^T are the scheme's workspace operators; CG is
+    S = B + sigma*tau*A1 and S^T are the run's workspace operators; CG is
     preconditioned by the step's own solve with P = S B^{-1} S^T.  Assembled at
     N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2 (about 1e14) would
     drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
     """
-    ws = prepare(problem, cfg)
     s, s_t, a = ws.lower.to_sparse(), ws.upper.to_sparse(), problem.A.to_sparse()
     b_factors = DiagFactorization.from_operator(problem.B)
     off = problem.dims.offsets
 
     def apply_w(x):
-        y = s_t @ x
+        y = matvec(s_t, x)
         y = np.concatenate([b_factors.solve_block(c, y[off[c] : off[c + 1]]) for c in range(len(off) - 1)])
-        return s @ y - (0.5 * cfg.tau) * (a @ x)
+        return matvec(s, y) - (0.5 * cfg.tau) * matvec(a, x)
 
     def precondition(r):
-        return _factorized_solve(problem.B, ws, BlockVector(problem.dims, r)).to_flat()
+        return _factorized_solve(problem.B, ws, BlockVector._own(problem.dims, r)).to_flat()
 
     def solve(v):
         d = z = precondition(v)
@@ -121,7 +132,8 @@ class _LevelObserver(RunObserver):
     (M^{-1} phi, phi) = sum_jk exp((r_j + r_k) t) G_jk.  ``assemble`` solves
     M g_k = v_k once per nonzero term; G_jk = (g_j, v_k) + (g_k, v_j) - (M g_j, g_k)
     has an error quadratic in those of the g_k, (g_j, v_k) alone a linear one.
-    Transitions must follow on from the level ``initial`` saw, as ``run``
+    ``prepared`` keeps the run's workspace, and ``initial`` assembles with
+    it.  Transitions must follow on from the level ``initial`` saw, as ``run``
     calls them: the last energy is kept, and ``prev.n`` indexes the forcing.
     """
 
@@ -129,6 +141,10 @@ class _LevelObserver(RunObserver):
         self.min_slack = math.inf
         self.initial_energy: Optional[float] = None
         self._last: Optional[float] = None
+        self._workspace = None
+
+    def prepared(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
+        self._workspace = workspace
 
     def _solve_forcing(self, problem: EvolutionProblem, cfg: SchemeConfig, solve: Callable, apply: Callable):
         terms = _exponential_terms(problem, "estimate forcing term")
@@ -148,7 +164,9 @@ class _LevelObserver(RunObserver):
         return 0.5 * self._tau * sum(g * math.exp(rate * t) for rate, g in self._terms)
 
     def _start(self, problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState) -> float:
-        self.assemble(problem, cfg)
+        if self._workspace is None:
+            raise ValueError("the observer needs the run's workspace: prepared must come before initial")
+        self.assemble(problem, cfg, self._workspace)
         self.initial_energy = self._last = self.energy(state)
         return self._last
 
@@ -170,8 +188,9 @@ class EstimateObserver(_LevelObserver):
     is the square of the A-norm ``run`` attaches to it.
     """
 
-    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """W^{-1} v_k for every forcing term; ``initial`` calls this."""
+    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
+        """W^{-1} v_k for every forcing term, with the workspace of ``prepare``;
+        ``initial`` calls this with the run's."""
         if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
             raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
         self._A = problem.A
@@ -179,7 +198,7 @@ class EstimateObserver(_LevelObserver):
             w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
             solve, apply = factor_spd(w, context="estimate weight").solve, (lambda x: w @ x)
         else:
-            solve, apply = _factorized_weight(problem, cfg)
+            solve, apply = _factorized_weight(problem, cfg, workspace)
         self._solve_forcing(problem, cfg, solve, apply)
 
     def energy(self, state: SchemeState) -> float:
@@ -207,11 +226,13 @@ class EnergyObserver(_LevelObserver):
     where R is positive definite.  ``initial`` assembles R from the
     triangular splits (sparse above ``SPARSE_MIN_ORDER``) for any admitted
     sigma, so out-of-hypothesis behavior can be probed: R is not checked
-    positive definite.  C is factored by ``factor_spd``.
+    positive definite.  C and its factor are those of the workspace's startup
+    step.
     """
 
-    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig) -> None:
-        """A and R, and C^{-1} v_k for every forcing term; ``initial`` calls this."""
+    def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
+        """A and R, and C^{-1} v_k for every forcing term, with the workspace of
+        ``prepare``; ``initial`` calls this with the run's."""
         if cfg.kind is not SchemeKind.THREE_LEVEL:
             raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
         self._a = _whole(problem.A)
@@ -224,8 +245,9 @@ class EnergyObserver(_LevelObserver):
         r = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * eye) - (cfg.tau**2 / 4.0) * self._a
         # symmetric up to rounding: triangular_split certified A and B symmetric
         self._r = 0.5 * (r + r.T)
-        c = _whole(problem.B) + st * self._a
-        self._solve_forcing(problem, cfg, factor_spd(c, context="B + sigma*tau*A").solve, lambda x: c @ x)
+        self._a_times, self._r_times = _product(self._a), _product(self._r)
+        startup = workspace.startup
+        self._solve_forcing(problem, cfg, startup.factor.solve, _product(_whole(startup.shifted)))
 
     def energy(self, state: SchemeState) -> float:
         """E_n of the pair (y^n, y^{n-1})."""
@@ -233,7 +255,7 @@ class EnergyObserver(_LevelObserver):
             raise ValueError("three-level energy needs a state carrying its previous level")
         y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
         mean, rate = 0.5 * (y + y_prev), (y - y_prev) / self._tau
-        return float(mean @ (self._a @ mean)) + float(rate @ (self._r @ rate))
+        return float(mean @ self._a_times(mean)) + float(rate @ self._r_times(rate))
 
     def diff_weight(self):
         """The assembled R: dense below ``SPARSE_MIN_ORDER``, CSR above."""
@@ -302,7 +324,7 @@ def run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> lis
         raise ValueError("run log carries no states; rerun with keep_states=True")
     three_level = cfg.kind is SchemeKind.THREE_LEVEL
     observer = EnergyObserver() if three_level else EstimateObserver()
-    observer.assemble(problem, cfg)
+    observer.assemble(problem, cfg, prepare(problem, cfg))
     levels = log.states
 
     def level(n: int) -> SchemeState:

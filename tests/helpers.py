@@ -1,7 +1,10 @@
 """Builders for randomized block-structured instances shared across tests."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 
 from splitstep import (
     BlockDims,
@@ -13,6 +16,7 @@ from splitstep import (
     SchemeConfig,
     SchemeKind,
     forcing_sample,
+    laplacian_min_eig,
     triangular_split,
 )
 
@@ -106,8 +110,9 @@ def scalar_problem(a=2.0, b=1.0, v0=1.0, forcing=None, T=1.0) -> EvolutionProble
 
 # ---------------------------------------------------------------------------
 # Dense small-N oracles for the estimate observers.  They assemble every
-# operator of the two estimates as a dense matrix and solve with
-# ``np.linalg.solve``, the route the observers took before they went sparse.
+# operator of the two estimates as a dense matrix, the route the observers
+# took before they went sparse, and refine each forcing-term solve against
+# the weight applied in factored form.
 # ---------------------------------------------------------------------------
 
 
@@ -173,15 +178,80 @@ def dense_diff_weight(problem: EvolutionProblem, cfg: SchemeConfig) -> np.ndarra
     return 0.5 * (r + r.T)
 
 
+# Refinement steps of ``dense_forcing_solve``.  At p = 2, m = 255,
+# tau = 1/32 one step takes the forcing term from 8e-11 to 9e-13 of the modal
+# value, the rounding in the forcing vector (A - B) profile itself; the
+# second is margin.
+_REFINE_STEPS = 2
+
+
+def dense_forcing_solve(problem: EvolutionProblem, cfg: SchemeConfig):
+    """f -> M^{-1} f for the weight M of the estimate's forcing term.
+
+    M is ``dense_estimate_weight`` for the two-level schemes and
+    C = B + sigma*tau*A for the three-level one.  The assembled M is only the
+    first solve: the entries of sigma^2 tau^2 A1 B^{-1} A2 drown B's digits
+    (at p = 2, m = 255, tau = 1/32 the forcing term came out about 1e-10
+    off), so the solution is refined against M applied in factored form,
+    B x + (sigma - 1/2) tau A x + sigma^2 tau^2 A1 (B^{-1} (A2 x)).
+    """
+    bd, a = problem.B.to_dense(), problem.A.to_dense()
+    st = cfg.sigma * cfg.tau
+    if cfg.kind is SchemeKind.THREE_LEVEL:
+        weight = bd + st * a
+
+        def apply(x):
+            return bd @ x + st * (a @ x)
+
+    else:
+        weight = dense_estimate_weight(problem, cfg)
+        split = triangular_split(problem.A)
+        a1, a2 = split.lower.to_dense(), split.upper.to_dense()
+        enlarged = cfg.kind is SchemeKind.FACTORIZED
+
+        def apply(x):
+            y = bd @ x + (cfg.sigma - 0.5) * cfg.tau * (a @ x)
+            return y + st**2 * (a1 @ np.linalg.solve(bd, a2 @ x)) if enlarged else y
+
+    factor = lu_factor(weight)
+
+    def solve(f):
+        x = lu_solve(factor, f)
+        for _ in range(_REFINE_STEPS):
+            x = x + lu_solve(factor, f - apply(x))
+        return x
+
+    return solve
+
+
+def modal_forcing_term(spec, sigma: float, tau: float, amplitudes=(1.0, 2.0)) -> float:
+    """(tau/2) (W^{-1} phi, phi) of the factorized scheme at transition 0 of
+    ``manufactured_problem(spec)``, p = 2, from the modal 2-by-2 reduction.
+
+    Each component of phi = exp(-t) (A - B) profile is a multiple of the
+    sine mode s, and every block acts on s as a scalar: (W^{-1} phi, phi) =
+    exp(-2 t) (s, s) w^T W_m^{-1} w, with W_m = b + (sigma - 1/2) tau K
+    + sigma^2 tau^2 K1 b^{-1} K1^T, K = k lambda_1 + r, K1 the lower triangle
+    of K with half its diagonal, and w = (K - b) c.
+    """
+    K = spec.k * laplacian_min_eig(spec.m) + spec.r
+    K1 = np.tril(K, -1) + 0.5 * np.diag(np.diag(K))
+    w_m = spec.b + (sigma - 0.5) * tau * K + (sigma * tau) ** 2 * K1 @ np.linalg.solve(spec.b, K1.T)
+    w = (K - spec.b) @ np.array(amplitudes)
+    s = np.sin(np.pi * spec.grid)
+    # the forcing decays at rate 1 and transition 0 samples it at sigma * tau
+    return 0.5 * tau * math.exp(-2.0 * sigma * tau) * (s @ s) * float(w @ np.linalg.solve(w_m, w))
+
+
 def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> list[float]:
     """The estimate slack of every certified transition of a run, from dense
     operators; the same transitions ``verify.run_slacks`` covers."""
     a = problem.A.to_dense()
     tau = cfg.tau
     three_level = cfg.kind is SchemeKind.THREE_LEVEL
+    solve = dense_forcing_solve(problem, cfg)
     if three_level:
         r = dense_diff_weight(problem, cfg)
-        weight = problem.B.to_dense() + cfg.sigma * tau * a
 
         def energy(n):
             y, y_prev = log.states[n].to_flat(), log.states[n - 1].to_flat()
@@ -189,7 +259,6 @@ def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) 
             return float(mean @ a @ mean) + float(rate @ r @ rate)
 
     else:
-        weight = dense_estimate_weight(problem, cfg)
 
         def energy(n):
             y = log.states[n].to_flat()
@@ -198,6 +267,6 @@ def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) 
     slacks = []
     for n in range(1 if three_level else 0, len(log.states) - 1):
         f = forcing_sample(problem, cfg, n).to_flat()
-        bound = energy(n) + 0.5 * tau * float(f @ np.linalg.solve(weight, f))
+        bound = energy(n) + 0.5 * tau * float(f @ solve(f))
         slacks.append(bound - energy(n + 1))
     return slacks

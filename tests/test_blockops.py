@@ -20,6 +20,7 @@ from splitstep import (
     weighted_norm,
 )
 from splitstep.blockops import (
+    matvec,
     read_block_operator,
     read_block_vector,
     read_coo_matrix,
@@ -344,6 +345,60 @@ class TestSingleStorage:
         for name, op in ops.items():
             assert op.blocks, name
             assert all(type(blk) is sp.csr_array for blk in op.blocks.values()), name
+
+
+def _with_index_dtype(csr: sp.csr_array, dtype) -> sp.csr_array:
+    out = csr.copy()
+    out.indices, out.indptr = out.indices.astype(dtype), out.indptr.astype(dtype)
+    return out
+
+
+class TestMatvec:
+    """``matvec`` calls scipy's private ``_sparsetools.csr_matvec``; these pin it
+    bit for bit against ``@``, so a changed signature or meaning fails here."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(52)
+        A, B = assemble_operators(example_coupled_spec(p=2, m=9))
+        rect = sp.random_array((3, 5), density=0.5, format="csr", rng=rng)
+        return {
+            "1x1": BlockOperator(BlockDims((1,)), {(0, 0): [[2.5]]}).block(0, 0),
+            "rectangular off-diagonal": BlockOperator(BlockDims((3, 5)), {(0, 1): rect}).block(0, 1),
+            "nnz 0": BlockOperator(BlockDims((2, 4)), {(1, 0): sp.csr_array((4, 2))}).block(1, 0),
+            "assembled diagonal": A.block(0, 0),
+            "assembled off-diagonal": A.block(1, 0),
+            "split lower": triangular_split(A).lower.block(1, 1),
+            "assembled B": B.block(1, 1),
+        }
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_matches_matmul_bit_for_bit(self, index_dtype):
+        rng = np.random.default_rng(53)
+        for name, blk in self._blocks().items():
+            csr = _with_index_dtype(blk, index_dtype)
+            assert csr.indices.dtype == csr.indptr.dtype == index_dtype, name
+            x = rng.standard_normal(csr.shape[1])
+            got = matvec(csr, x)
+            assert got.dtype == np.float64 and got.shape == (csr.shape[0],), name
+            assert np.array_equal(got, csr @ x), name
+
+    def test_int_valued_block_is_stored_as_float(self):
+        ints = sp.csr_array(np.array([[2, -1], [-1, 2]]))
+        assert ints.dtype.kind == "i"
+        M = BlockOperator(BlockDims((2,)), {(0, 0): ints})
+        blk = M.block(0, 0)
+        assert blk.dtype == np.float64
+        x = np.array([0.1, 0.7])
+        assert np.array_equal(matvec(blk, x), ints @ x)
+        assert np.array_equal(M.apply(BlockVector(M.dims, x)).to_flat(), ints @ x)
+
+    def test_rejects_wrong_length_and_format(self):
+        csr = sp.csr_array(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            matvec(csr, np.ones(2))
+        with pytest.raises(TypeError, match="CSR"):
+            matvec(sp.csc_array(csr), np.ones(3))
 
 
 class TestTriangularSplit:

@@ -520,9 +520,9 @@ class TestStabilityCommand:
         built = []
         real_assemble = splitstep.verify.EnergyObserver.assemble
 
-        def counting_assemble(self, problem, cfg):
+        def counting_assemble(self, problem, cfg, workspace):
             built.append((cfg.sigma, cfg.tau))
-            real_assemble(self, problem, cfg)
+            real_assemble(self, problem, cfg, workspace)
 
         monkeypatch.setattr(splitstep.verify.EnergyObserver, "assemble", counting_assemble)
         config = write_config(tmp_path, STABILITY_THREE_LEVEL)

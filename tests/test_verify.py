@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._base as sp_base
 from hypothesis import given, strategies as st
 
 from splitstep import (
@@ -16,6 +17,7 @@ from splitstep import (
     EvolutionProblem,
     ExponentialSumForcing,
     NotPositiveDefiniteError,
+    RunObserver,
     SchemeConfig,
     SchemeState,
     SpdFactor,
@@ -27,7 +29,6 @@ from splitstep import (
     example_coupled_spec,
     example_porosity_spec,
     forcing_sample,
-    laplacian_min_eig,
     manufactured_problem,
     prepare,
     reference_solution,
@@ -43,10 +44,12 @@ from splitstep.verify import CompareReport, CompareRow
 
 from helpers import (
     dense_diff_weight,
+    dense_forcing_solve,
     dense_run_slacks,
     factorized_operator_dense,
     factorized_operator_identity_error,
     factorized_operator_psd_margin,
+    modal_forcing_term,
     random_problem,
     random_smooth_forcing,
     scalar_problem,
@@ -56,7 +59,9 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def observed(observer, prob, cfg, state=None):
-    """``observer`` after ``initial`` on ``state``, by default level 0."""
+    """``observer`` after ``prepared`` and ``initial`` on ``state``, by default
+    level 0, as ``run`` calls them."""
+    observer.prepared(prob, cfg, prepare(prob, cfg))
     observer.initial(prob, cfg, state or SchemeState(0, 0.0, prob.v0))
     return observer
 
@@ -157,7 +162,7 @@ class TestThreeLevelEstimate:
         prob = scalar_problem()
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
         with pytest.raises(ValueError, match="does not apply"):
-            EnergyObserver().assemble(prob, cfg)
+            EnergyObserver().assemble(prob, cfg, prepare(prob, cfg))
 
     def test_scalar_difference_weight(self):
         # C1 = C2 = 0.5 + 0.1 = 0.6, D = 0.05 * (0.36 + 1) = 0.068,
@@ -165,7 +170,7 @@ class TestThreeLevelEstimate:
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
         obs = EnergyObserver()
-        obs.assemble(prob, cfg)
+        obs.assemble(prob, cfg, prepare(prob, cfg))
         assert obs.diff_weight()[0, 0] == pytest.approx(0.063, abs=1e-15)
         assert obs.diff_weight_min_eig() == pytest.approx(0.063, abs=1e-15)
 
@@ -190,7 +195,7 @@ class TestThreeLevelEstimate:
         prob = random_problem(rng, diag_b=False, forced=False)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.2, n_steps=2)
         obs = EnergyObserver()
-        obs.assemble(prob, cfg)
+        obs.assemble(prob, cfg, prepare(prob, cfg))
         v = prob.v0
         # flat history: only the mean term survives
         assert obs.energy(SchemeState(1, cfg.tau, v, y_prev=v)) == pytest.approx(
@@ -339,6 +344,74 @@ def test_transitions_make_no_solve(monkeypatch, kind, sigma, diag_b):
     assert "solve" in calls
 
 
+CERTIFIED_RUNS = [("weighted", 0.5), ("factorized", 0.5), ("three_level", 1.0)]
+
+
+def _certified_problem(kind: str, m: int) -> EvolutionProblem:
+    spec = (example_porosity_spec if kind == "three_level" else example_coupled_spec)(p=2, m=m)
+    return manufactured_problem(spec).problem
+
+
+class _AfterInitial(RunObserver):
+    """Sets ``flag[0]`` once ``initial`` has run, for an observer placed last."""
+
+    def __init__(self, flag):
+        self.flag = flag
+
+    def initial(self, problem, cfg, state):
+        self.flag[0] = True
+        return {}
+
+
+@pytest.mark.parametrize("m", [31, 64])
+@pytest.mark.parametrize("kind, sigma", CERTIFIED_RUNS)
+def test_transitions_make_no_scipy_matmul(monkeypatch, kind, sigma, m):
+    # every per-step product, the observers' energies included, goes through
+    # blockops.matvec; N = 62 holds dense observer weights, N = 128 sparse ones
+    prob = _certified_problem(kind, m)
+    first = 1 if kind == "three_level" else 0
+    cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=first + 6)
+    counting, calls = [False], []
+    for name in ("__matmul__", "__rmatmul__"):
+        real = getattr(sp_base._spbase, name)
+
+        def counted(self, other, real=real, name=name):
+            if counting[0]:
+                calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(sp_base._spbase, name, counted)
+    obs = EnergyObserver() if first else EstimateObserver()
+    log = run(prob, cfg, observers=(obs, _AfterInitial(counting)), keep_states=False)
+    assert counting[0] and len(log.records) == cfg.n_steps + 1
+    assert all("slack" in rec.extras for rec in log.records[first + 1 :])
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind, sigma", CERTIFIED_RUNS)
+def test_certified_run_prepares_once(monkeypatch, kind, sigma):
+    # the observers take their operators and factors from the run's workspace
+    prepared, contexts = [], []
+
+    def counted_prepare(problem, cfg, real=schemes.prepare):
+        prepared.append(cfg.kind)
+        return real(problem, cfg)
+
+    def counted_factor(matrix, context="matrix", real=linsolve.factor_spd):
+        contexts.append(context)
+        return real(matrix, context=context)
+
+    for module in (schemes, verify):
+        monkeypatch.setattr(module, "prepare", counted_prepare)
+        monkeypatch.setattr(module, "factor_spd", counted_factor)
+    prob = _certified_problem(kind, 31)
+    cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=4)
+    obs = EnergyObserver() if kind == "three_level" else EstimateObserver()
+    run(prob, cfg, observers=(obs,), keep_states=False)
+    assert math.isfinite(obs.min_slack) and len(prepared) == 1
+    assert contexts.count("B + sigma*tau*A") == (0 if kind == "factorized" else 1)
+
+
 @pytest.mark.parametrize(
     "observer, kind",
     [(EstimateObserver, "weighted"), (EstimateObserver, "factorized"), (EnergyObserver, "three_level")],
@@ -350,7 +423,7 @@ def test_opaque_forcing_is_unsupported(observer, kind):
     cfg = SchemeConfig(kind, sigma=1.0, tau=0.1, n_steps=2)
     state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
     with pytest.raises(UnsupportedForcingError, match="exponential-sum"):
-        observer().initial(opaque, cfg, state)
+        observed(observer(), opaque, cfg, state)
 
 
 SPARSE_ORACLE_GRIDS = [(2, 31), (4, 255)]
@@ -389,7 +462,7 @@ class TestSparseObservers:
         prob = build_coupled_diffusion(example_porosity_spec(p=2, m=255))
         cfg = SchemeConfig("three_level", sigma=sigma, tau=0.01, n_steps=2)
         obs = EnergyObserver()
-        obs.assemble(prob, cfg)
+        obs.assemble(prob, cfg, prepare(prob, cfg))
         r = obs.diff_weight()
         want_r = dense_diff_weight(prob, cfg)
         assert sp.issparse(r)
@@ -431,24 +504,22 @@ class TestSparseObservers:
 
     @pytest.mark.parametrize("sigma, tau", [(0.5, 1 / 128), (1.0, 1 / 64), (0.5, 1 / 8)])
     def test_factorized_forcing_term_at_m65535_is_modal(self, sigma, tau):
-        # each component of v = (A - B) profile is a multiple of the sine
-        # mode s, and every block acts on s as a scalar: (W^{-1} v, v) =
-        # (s, s) w^T W_m^{-1} w, with W_m = b + (sigma - 1/2) tau K
-        # + sigma^2 tau^2 K1 b^{-1} K1^T, K = k lambda_1 + r, K1 the lower
-        # triangle of K with half its diagonal, and w = (K - b) c
-        m = 65_535
-        spec = example_coupled_spec(p=2, m=m)
+        spec = example_coupled_spec(p=2, m=65_535)
         prob = manufactured_problem(spec).problem
-        K = spec.k * laplacian_min_eig(m) + spec.r
-        K1 = np.tril(K, -1) + 0.5 * np.diag(np.diag(K))
-        w_m = spec.b + (sigma - 0.5) * tau * K + (sigma * tau) ** 2 * K1 @ np.linalg.solve(spec.b, K1.T)
-        w = (K - spec.b) @ np.array([1.0, 2.0])
-        s = np.sin(np.pi * spec.grid)
-        # the forcing decays at rate 1 and transition 0 samples it at sigma * tau
-        want = 0.5 * tau * math.exp(-2.0 * sigma * tau) * (s @ s) * float(w @ np.linalg.solve(w_m, w))
         cfg = SchemeConfig("factorized", sigma=sigma, tau=tau, n_steps=8)
         obs = observed(EstimateObserver(), prob, cfg)
-        assert obs.forcing_term(0) == pytest.approx(want, rel=1e-6)
+        assert obs.forcing_term(0) == pytest.approx(modal_forcing_term(spec, sigma, tau), rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_dense_oracle_forcing_term_is_modal(self, sigma):
+        # the assembled dense W alone is 8e-11 to 1e-10 off here; refined
+        # against W in factored form it meets the modal value
+        spec = example_coupled_spec(p=2, m=255)
+        prob = manufactured_problem(spec).problem
+        cfg = SchemeConfig("factorized", sigma=sigma, tau=1 / 32, n_steps=8)
+        f = forcing_sample(prob, cfg, 0).to_flat()
+        got = 0.5 * cfg.tau * float(f @ dense_forcing_solve(prob, cfg)(f))
+        assert got == pytest.approx(modal_forcing_term(spec, sigma, cfg.tau), rel=1e-12)
 
 
 class TestReferenceSolution:
