@@ -7,11 +7,13 @@ of it.  Linear operators are p-by-p grids of matrix blocks; a missing block
 acts as an exact zero.  Every block is stored as a float64 CSR sparse array,
 whatever it was given as.  The schemes only ever invert the diagonal blocks,
 which is why the blockwise structure is kept explicit; everything that acts
-on the whole space (``apply``, norms, the symmetry defect, densification)
-goes through one CSR matrix that each operator assembles once.  Every
-per-step product goes through ``matvec``, scipy's compiled CSR kernel
-without the dispatch of ``@``.  Whether a matrix is solved dense or banded
-is ``linsolve.factor_spd``'s choice alone.
+on the whole space (``apply``, norms, the symmetry defect) goes through one
+CSR matrix that each operator assembles once, while densification goes
+block by block.  Every per-step product goes through ``matvec``, scipy's
+compiled CSR kernel without the dispatch of ``@``, and every block built
+from others (``lincomb``, the split halves) through ``_combine``, scipy's
+compiled sum kernel with one constructor per block.  Whether a matrix is
+solved dense or banded is ``linsolve.factor_spd``'s choice alone.
 ``certify`` checks the symmetric positive definiteness the schemes assume:
 a symmetry check and a Cholesky (or, when tridiagonal, LDL^T) factorization
 that succeeds, at every size.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +40,9 @@ class CertificateError(ValueError):
 
 
 def _as_block(value, shape) -> sp.csr_array:
-    if sp.issparse(value):
+    if type(value) is sp.csr_array and value.dtype == np.float64:
+        block = value
+    elif sp.issparse(value):
         block = sp.csr_array(value)
         if block.dtype != np.float64:
             block = block.astype(np.float64)
@@ -70,13 +74,101 @@ def matvec(csr, x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _CsrParts(NamedTuple):
+    """The three arrays of a CSR matrix, without a matrix object around them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+# what scipy's ``get_index_dtype`` decides for sparse arrays, without its
+# cost (two ``np.iinfo`` and a ``can_cast`` per array): int64 where the
+# platform's C int is not 32 bits, where maxval needs it, or where an index
+# array is int64, as the index arrays of CSR arrays are int32 or int64
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_INTC_IS_32 = np.intc().itemsize == 4
+
+
+def _index_dtype(arrays=(), maxval: int = 0):
+    if _INTC_IS_32 and maxval <= _INT32_MAX and all(a.dtype.itemsize == 4 for a in arrays):
+        return np.int32
+    return np.int64
+
+
+def _identity_parts(n: int) -> _CsrParts:
+    """The arrays of ``sp.eye_array(n, format="csr")``."""
+    idx = _index_dtype(maxval=n)
+    return _CsrParts(np.arange(n + 1, dtype=idx), np.arange(n, dtype=idx), np.ones(n))
+
+
+def _combine(shape, terms) -> sp.csr_array:
+    """The sum of c * M over the ``(c, M)`` terms, left to right, as one CSR array.
+
+    Bit for bit what scipy's ``c1*M1 + c2*M2 + ...`` gives, data, indices,
+    indptr and index dtype, but with one constructor where scipy makes a
+    matrix for every product and every sum.  Each M's data is scaled on its
+    own pattern, and each sum goes through ``csr_plus_csr`` of scipy's
+    private ``_sparsetools``, the kernel that ``+`` ends in, which drops the
+    entries that come out zero; the index dtype is chosen as scipy's
+    ``_binopt`` chooses it.  An M is a float64 CSR matrix or ``_CsrParts``;
+    a coefficient of 1 skips the scaling (x * 1.0 is x), so a one-term sum
+    with coefficient 1 shares M's arrays.  ``TestCombine`` pins this against
+    scipy, so a changed kernel fails there.
+    """
+    acc = _sum_parts(shape, terms)
+    return sp.csr_array((acc.data, acc.indices, acc.indptr), shape=shape)
+
+
+def _scaled(data: np.ndarray, c: float) -> np.ndarray:
+    return data if c == 1.0 else data * c
+
+
+def _sum_parts(shape, terms) -> _CsrParts:
+    """The arrays of ``_combine(shape, terms)``, with no matrix built.
+
+    The kernel reads each operand's rows through its indptr unchecked, so
+    every indptr must have one entry per row plus one.
+    """
+    rows, cols = shape
+    for _, m in terms:
+        if m.indptr.shape != (rows + 1,):
+            raise DimensionMismatchError(f"operand indptr of length {m.indptr.shape[0]} for {rows} rows")
+    (c, first), *rest = terms
+    acc = _CsrParts(first.indptr, first.indices, _scaled(first.data, c))
+    for c, m in rest:
+        maxnnz = int(acc.indptr[-1]) + int(m.indptr[-1])
+        idx = _index_dtype((acc.indptr, acc.indices, m.indptr, m.indices), maxval=maxnnz)
+        indptr, indices, data = np.empty(rows + 1, dtype=idx), np.empty(maxnnz, dtype=idx), np.empty(maxnnz)
+        _sparsetools.csr_plus_csr(
+            rows, cols,
+            acc.indptr.astype(idx, copy=False), acc.indices.astype(idx, copy=False), acc.data,
+            m.indptr.astype(idx, copy=False), m.indices.astype(idx, copy=False), _scaled(m.data, c),
+            indptr, indices, data,
+        )
+        nnz = int(indptr[-1])
+        acc = _CsrParts(indptr, indices[:nnz], data[:nnz])
+    return acc
+
+
+def _transpose_parts(csr) -> _CsrParts:
+    """The arrays of the CSR form of ``csr.T``, by the kernel of scipy's conversion."""
+    rows, cols = csr.shape
+    idx = _index_dtype((csr.indptr, csr.indices), maxval=max(csr.nnz, cols))
+    parts = _CsrParts(np.empty(cols + 1, dtype=idx), np.empty(csr.nnz, dtype=idx), np.empty(csr.nnz))
+    _sparsetools.csr_tocsc(
+        rows, cols, csr.indptr.astype(idx, copy=False), csr.indices.astype(idx, copy=False), csr.data, *parts
+    )
+    return parts
+
+
 def _csr_rows(csr) -> np.ndarray:
     """Row index of every stored entry of a CSR matrix."""
     return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
 
 
-def _data_absmax(csr) -> float:
-    return float(np.abs(csr.data).max()) if csr.nnz else 0.0
+def _largest_abs(data: np.ndarray) -> float:
+    return float(np.abs(data).max()) if data.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -120,18 +212,18 @@ class BlockVector:
         flat = np.array(flat, dtype=float)
         if flat.shape != (dims.total,):
             raise DimensionMismatchError(f"flat shape {flat.shape} != ({dims.total},)")
-        self._init(dims, flat)
-
-    def _init(self, dims: BlockDims, flat: np.ndarray):
-        flat.flags.writeable = False
+        flat.setflags(write=False)
         self.dims = dims
         self._flat = flat
 
     @classmethod
     def _own(cls, dims: BlockDims, flat: np.ndarray) -> "BlockVector":
-        """Wrap a freshly computed array of the right shape without copying."""
+        """Wrap a freshly computed array of the right shape without copying;
+        the steps make several per transition, so this skips ``__init__``."""
         out = cls.__new__(cls)
-        out._init(dims, flat)
+        flat.setflags(write=False)
+        out.dims = dims
+        out._flat = flat
         return out
 
     @classmethod
@@ -237,7 +329,13 @@ class BlockOperator:
         return BlockOperator(self.dims, {(b, a): blk.T for (a, b), blk in self.blocks.items()})
 
     def to_dense(self) -> np.ndarray:
-        return self._matrix.toarray()
+        """The operator as one dense array, filled block by block, so no whole
+        CSR matrix is built for an operator that is only densified."""
+        off = self.dims.offsets
+        dense = np.zeros((self.dims.total, self.dims.total))
+        for (a, b), blk in self.blocks.items():
+            dense[off[a] : off[a + 1], off[b] : off[b + 1]] = blk.toarray()
+        return dense
 
     def to_sparse(self) -> sp.csr_array:
         """A CSR matrix of the whole operator, the caller's own copy."""
@@ -272,11 +370,19 @@ class BlockOperator:
 
     @cached_property
     def _absmax(self) -> float:
-        return _data_absmax(self._matrix)
+        return _largest_abs(self._matrix.data)
 
     @cached_property
     def _symmetry_defect(self) -> float:
-        return _data_absmax(self._matrix - self._matrix.T)
+        """max |M - M^T|: the entries of scipy's ``M - M.T`` (a - b equals
+        a + (-1) b), from the kernels alone."""
+        csr = self._matrix
+        diff = _sum_parts(csr.shape, ((1.0, csr), (-1.0, _transpose_parts(csr))))
+        return _largest_abs(diff.data)
+
+    @cached_property
+    def _triangular_pair(self) -> "TriangularPair":
+        return _halves(self)
 
     def norm_inf(self) -> float:
         """Infinity norm (largest absolute row sum)."""
@@ -341,26 +447,28 @@ def weighted_norm(D: BlockOperator, x: BlockVector, d_x: Optional[BlockVector] =
     else:
         _check_same_dims(D.dims, d_x.dims)
     q = d_x.dot(x)
-    scale = D.absmax() * max(x.dot(x), 1.0)
-    if q < -1e-12 * max(scale, 1e-300):
+    # the scale, a second product, matters only to a negative form
+    if q < 0.0 and q < -1e-12 * max(D.absmax() * max(x.dot(x), 1.0), 1e-300):
         raise CertificateError(f"quadratic form (Dx,x) = {q:.3e} negative for claimed-SPD operator")
     return float(np.sqrt(max(q, 0.0)))
 
 
-def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator) -> BlockOperator:
-    """Blockwise a*M + b*N; the result carries the union of both sparsity patterns."""
+def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator, shift: float = 0.0) -> BlockOperator:
+    """Blockwise a*M + b*N + shift*I, each block with one CSR constructor (``_combine``).
+
+    The result carries the union of both sparsity patterns, plus the
+    diagonal blocks when ``shift`` is nonzero; a zero shift adds nothing.
+    """
     _check_same_dims(M.dims, N.dims)
+    keys = set(M.blocks) | set(N.blocks)
+    if shift:
+        keys |= {(r, r) for r in range(M.dims.p)}
     blocks = {}
-    for key in set(M.blocks) | set(N.blocks):
-        mb = M.blocks.get(key)
-        nb = N.blocks.get(key)
-        if mb is None:
-            blk = b * nb
-        elif nb is None:
-            blk = a * mb
-        else:
-            blk = a * mb + b * nb
-        blocks[key] = blk
+    for r, c in sorted(keys):
+        terms = [(coef, op.blocks[(r, c)]) for coef, op in ((a, M), (b, N)) if (r, c) in op.blocks]
+        if shift and r == c:
+            terms.append((shift, _identity_parts(M.dims.sizes[r])))
+        blocks[(r, c)] = _combine((M.dims.sizes[r], M.dims.sizes[c]), terms)
     return BlockOperator(M.dims, blocks)
 
 
@@ -388,9 +496,15 @@ def triangular_split(M: BlockOperator) -> TriangularPair:
 
     The lower part takes every block strictly below the diagonal and half of
     each diagonal block; the upper part is its transpose.  Their sum restores
-    M exactly.
+    M exactly.  The pair is cached on the frozen operator, so a problem's A
+    and B are split once however many workspaces and observers ask.
     """
     _require_symmetric(M, "triangular_split")
+    return M._triangular_pair
+
+
+def _halves(M: BlockOperator) -> TriangularPair:
+    """The pair of ``triangular_split``; lower and upper share each halved diagonal block."""
     lower = {}
     upper = {}
     for (a, b), blk in M.blocks.items():
@@ -399,11 +513,8 @@ def triangular_split(M: BlockOperator) -> TriangularPair:
         elif a < b:
             upper[(a, b)] = blk
         else:
-            half = 0.5 * blk
-            lower[(a, a)] = half
-            upper[(a, a)] = half
-    dims = M.dims
-    return TriangularPair(BlockOperator(dims, lower), BlockOperator(dims, upper))
+            lower[(a, a)] = upper[(a, a)] = _combine(blk.shape, ((0.5, blk),))
+    return TriangularPair(BlockOperator(M.dims, lower), BlockOperator(M.dims, upper))
 
 
 def certify(M: BlockOperator, context: str = "operator") -> None:

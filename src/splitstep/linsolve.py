@@ -175,14 +175,15 @@ def factor_spd(matrix, context: str = "matrix") -> SpdFactor:
     """Factor one SPD matrix for repeated solves.
 
     ``matrix`` may be a dense array, a sparse array, or a ``BlockOperator``,
-    whose whole CSR matrix is factored.  Only its lower triangle is read.
+    densified block by block below ``SPARSE_MIN_ORDER`` and otherwise
+    factored from its whole CSR matrix.  Only its lower triangle is read.
     Orders below ``SPARSE_MIN_ORDER`` are densified and get a dense factor,
     larger ones a band factor, LDL^T when the band is tridiagonal after any
     reordering.  A non-positive pivot raises ``NotPositiveDefiniteError``
     with the 1-based pivot index.
     """
     if isinstance(matrix, BlockOperator):
-        matrix = matrix.to_sparse()
+        matrix = matrix.to_dense() if matrix.dims.total < SPARSE_MIN_ORDER else matrix.to_sparse()
     shape = matrix.shape if sp.issparse(matrix) else np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatchError(f"{context}: expected a square matrix, got shape {shape}")
@@ -221,9 +222,13 @@ def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, des
     """Block substitution, components in ascending or descending order: each
     component's right-hand side loses the blocks of the components already
     solved, one at a time in the order they were solved.  The blocks come from
-    the operator's cached plan (``BlockOperator.off_diagonal_rows``)."""
+    the operator's cached plan (``BlockOperator.off_diagonal_rows``).  The
+    factors must be those of T's components, one per component, or a factor
+    of the wrong order or a missing one would go unnoticed."""
     if T.dims.sizes != rhs.dims.sizes:
         raise DimensionMismatchError(f"dims {T.dims.sizes} != {rhs.dims.sizes}")
+    if diag.dims.sizes != T.dims.sizes:
+        raise DimensionMismatchError(f"diagonal factors for dims {diag.dims.sizes} != operator dims {T.dims.sizes}")
     off = T.dims.offsets
     plan = T.off_diagonal_rows
     b = rhs.to_flat()

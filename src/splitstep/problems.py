@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blockops import BlockDims, BlockOperator, BlockVector, certify
+from .blockops import BlockDims, BlockOperator, BlockVector, _combine, _identity_parts, certify
 from .schemes import EvolutionProblem, ExponentialSumForcing, zero_forcing
 
 
@@ -86,17 +86,22 @@ def laplacian_min_eig(m: int) -> float:
 
 
 def assemble_operators(spec: DiffusionSpec) -> tuple[BlockOperator, BlockOperator]:
-    """Assemble (A, B) from the coupling tables and certify both SPD."""
+    """Assemble (A, B) from the coupling tables and certify both SPD.
+
+    Each block is built with one CSR constructor, bit for bit the
+    ``k * L + r * I`` and ``b * I`` of scipy's arithmetic (``blockops._combine``).
+    """
     L = laplacian_1d(spec.m)
-    eye = sp.csr_array(sp.identity(spec.m, format="csr"))
+    eye = _identity_parts(spec.m)
+    shape = (spec.m, spec.m)
     a_blocks = {}
     b_blocks = {}
     for a in range(spec.p):
         for b in range(spec.p):
             if spec.k[a, b] != 0.0 or spec.r[a, b] != 0.0:
-                a_blocks[(a, b)] = spec.k[a, b] * L + spec.r[a, b] * eye
+                a_blocks[(a, b)] = _combine(shape, ((spec.k[a, b], L), (spec.r[a, b], eye)))
             if spec.b[a, b] != 0.0:
-                b_blocks[(a, b)] = spec.b[a, b] * eye
+                b_blocks[(a, b)] = _combine(shape, ((spec.b[a, b], eye),))
     A = BlockOperator(spec.dims, a_blocks)
     B = BlockOperator(spec.dims, b_blocks)
     certify(A, context="assembled A")

@@ -242,11 +242,8 @@ def _prepare_three_level(problem: EvolutionProblem, cfg: SchemeConfig) -> ThreeL
     a_split = triangular_split(problem.A)
     b_split = triangular_split(problem.B)
     st = cfg.sigma * cfg.tau
-    c1 = lincomb(1.0, b_split.lower, st, a_split.lower)
-    c2 = lincomb(1.0, b_split.upper, st, a_split.upper)
-    eye = BlockOperator.identity(problem.dims)
-    c1_plus = lincomb(1.0, c1, cfg.epsilon, eye)
-    c2_plus = lincomb(1.0, c2, cfg.epsilon, eye)
+    c1_plus = lincomb(1.0, b_split.lower, st, a_split.lower, shift=cfg.epsilon)
+    c2_plus = lincomb(1.0, b_split.upper, st, a_split.upper, shift=cfg.epsilon)
     diag = DiagFactorization.from_operator(c1_plus)
     return ThreeLevelWorkspace(c1_plus, c2_plus, diag, _prepare_weighted(problem, cfg))
 
@@ -260,9 +257,18 @@ def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
     return _prepare_three_level(problem, cfg)
 
 
-def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> BlockVector:
+# The steps do their vector arithmetic on the flat arrays of their states and
+# make a BlockVector only for a call that takes one and for the new level.
+
+
+def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> np.ndarray:
+    """tau (phi - A y) as a flat array."""
     a_y = problem.A.apply(state.y) if state.a_y is None else state.a_y
-    return cfg.tau * (phi - a_y)
+    return cfg.tau * (phi.to_flat() - a_y.to_flat())
+
+
+def _advanced(cfg: SchemeConfig, state: SchemeState, y_new: np.ndarray, y_prev=None) -> SchemeState:
+    return SchemeState(state.n + 1, state.t + cfg.tau, BlockVector._own(state.y.dims, y_new), y_prev=y_prev)
 
 
 def weighted_step(
@@ -273,9 +279,9 @@ def weighted_step(
     phi: BlockVector,
 ) -> SchemeState:
     """One transition of the weighted scheme: (B + sigma*tau*A) dy = tau (phi - A y)."""
-    g = _residual_rhs(problem, cfg, state, phi)
+    g = BlockVector._own(problem.dims, _residual_rhs(problem, cfg, state, phi))
     dy = solve_spd_full(workspace.shifted, g, workspace.factor)
-    return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
+    return _advanced(cfg, state, state.y.to_flat() + dy.to_flat())
 
 
 def _factorized_solve(B: BlockOperator, workspace: FactorizedWorkspace, rhs: BlockVector) -> BlockVector:
@@ -292,8 +298,9 @@ def factorized_step(
     phi: BlockVector,
 ) -> SchemeState:
     """One transition of the alternating triangular scheme: dy = P^{-1} tau (phi - A y)."""
-    dy = _factorized_solve(problem.B, workspace, _residual_rhs(problem, cfg, state, phi))
-    return SchemeState(state.n + 1, state.t + cfg.tau, state.y + dy)
+    g = BlockVector._own(problem.dims, _residual_rhs(problem, cfg, state, phi))
+    dy = _factorized_solve(problem.B, workspace, g)
+    return _advanced(cfg, state, state.y.to_flat() + dy.to_flat())
 
 
 def three_level_init(
@@ -330,12 +337,14 @@ def three_level_step(
     """
     if state.y_prev is None:
         raise ValueError("three_level_step needs the previous level; run three_level_init first")
-    diff = state.y - state.y_prev
-    g = _residual_rhs(problem, cfg, state, phi) - workspace.startup.shifted.apply(diff)
-    half = solve_block_lower(workspace.c1_plus, (2.0 * cfg.epsilon) * g, workspace.diag)
+    dims = problem.dims
+    y = state.y.to_flat()
+    diff = y - state.y_prev.to_flat()
+    c_diff = workspace.startup.shifted.apply(BlockVector._own(dims, diff)).to_flat()
+    g = (2.0 * cfg.epsilon) * (_residual_rhs(problem, cfg, state, phi) - c_diff)
+    half = solve_block_lower(workspace.c1_plus, BlockVector._own(dims, g), workspace.diag)
     dy = solve_block_upper(workspace.c2_plus, half, workspace.diag)
-    y_new = state.y + diff + dy
-    return SchemeState(state.n + 1, state.t + cfg.tau, y_new, y_prev=state.y)
+    return _advanced(cfg, state, y + diff + dy.to_flat(), y_prev=state.y)
 
 
 class RunObserver:

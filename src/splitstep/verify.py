@@ -66,6 +66,16 @@ def _whole(op: BlockOperator):
     return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
 
 
+def _plus_identity(matrix, shift: float):
+    """matrix + shift I, entry for entry what ``matrix + shift * sp.eye_array(n)``
+    gives; a dense matrix, which the caller has no further use for, is
+    shifted in place rather than through a sparse identity."""
+    if sp.issparse(matrix):
+        return matrix + shift * sp.eye_array(matrix.shape[0], format="csr")
+    matrix[np.diag_indices_from(matrix)] += shift
+    return matrix
+
+
 def _product(matrix) -> Callable:
     """x -> matrix @ x, by ``blockops.matvec`` for a CSR matrix."""
     if sp.issparse(matrix):
@@ -91,7 +101,8 @@ def _factorized_weight(
     N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2 (about 1e14) would
     drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
     """
-    s, s_t, a = ws.lower.to_sparse(), ws.upper.to_sparse(), problem.A.to_sparse()
+    # the operators' own cached matrices: read here, never written
+    s, s_t, a = ws.lower._matrix, ws.upper._matrix, problem.A._matrix
     b_factors = DiagFactorization.from_operator(problem.B)
     off = problem.dims.offsets
 
@@ -240,9 +251,7 @@ class EnergyObserver(_LevelObserver):
         st = cfg.sigma * cfg.tau
         c1 = _whole(b_split.lower) + st * _whole(a_split.lower)
         c2 = _whole(b_split.upper) + st * _whole(a_split.upper)
-        # a sparse identity added to a dense matrix gives a dense one
-        eye = sp.eye_array(problem.dims.total, format="csr")
-        r = (cfg.tau / (2.0 * cfg.epsilon)) * (c1 @ c2 + cfg.epsilon**2 * eye) - (cfg.tau**2 / 4.0) * self._a
+        r = (cfg.tau / (2.0 * cfg.epsilon)) * _plus_identity(c1 @ c2, cfg.epsilon**2) - (cfg.tau**2 / 4.0) * self._a
         # symmetric up to rounding: triangular_split certified A and B symmetric
         self._r = 0.5 * (r + r.T)
         self._a_times, self._r_times = _product(self._a), _product(self._r)

@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from scipy.sparse import _compressed
 
 from splitstep import (
     BlockDims,
     BlockOperator,
     BlockVector,
     CertificateError,
+    DiffusionSpec,
     DimensionMismatchError,
     certify,
     example_coupled_spec,
+    example_porosity_spec,
     laplacian_1d,
     laplacian_min_eig,
     lincomb,
@@ -19,7 +24,10 @@ from splitstep import (
     weighted_inner,
     weighted_norm,
 )
+from splitstep import blockops, cli
 from splitstep.blockops import (
+    _combine,
+    _identity_parts,
     matvec,
     read_block_operator,
     read_block_vector,
@@ -29,9 +37,12 @@ from splitstep.blockops import (
     write_coo_matrix,
 )
 from splitstep.linsolve import SPARSE_MIN_ORDER
-from splitstep.problems import assemble_operators
+from splitstep.problems import assemble_operators, build_coupled_diffusion
+from splitstep.schemes import SchemeConfig, SchemeKind, prepare
 
 from helpers import random_dims, random_spd, random_symmetric, random_vector
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -401,7 +412,101 @@ class TestMatvec:
             matvec(sp.csc_array(csr), np.ones(3))
 
 
+def _assert_same_csr(got, want, name):
+    """Bit for bit: data, indices, indptr and their dtypes."""
+    assert type(got) is sp.csr_array and got.shape == want.shape, name
+    for field in ("data", "indices", "indptr"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), f"{name}: {field}"
+        assert g.tobytes() == w.tobytes(), f"{name}: {field} bytes"
+
+
+class TestCombine:
+    """``_combine`` calls scipy's private ``_sparsetools.csr_plus_csr``; these pin
+    it bit for bit against scipy's ``a*M + b*N``, as ``TestMatvec`` pins ``matvec``."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(54)
+        A, _ = assemble_operators(example_coupled_spec(p=2, m=9))
+        lap, eye = A.block(0, 0), sp.csr_array(sp.eye_array(9, format="csr"))
+        upper = sp.csr_array(sp.triu(lap, k=1))
+        rect = sp.random_array((3, 5), density=0.5, format="csr", rng=rng)
+        rect2 = sp.random_array((3, 5), density=0.5, format="csr", rng=rng)
+        return {
+            "overlapping": (2.0, lap, -0.5, eye),
+            "disjoint": (1.0, upper, 3.0, eye),
+            # the diagonal cancels: 1*L - (2/h^2) I drops it, as + does
+            "cancelling": (1.0, lap, -lap[0, 0], eye),
+            "cancelling to nnz 0": (1.0, lap, -1.0, lap),
+            "nnz 0 operand": (0.25, sp.csr_array((9, 9)), 2.0, lap),
+            "both nnz 0": (1.0, sp.csr_array((4, 2)), 1.0, sp.csr_array((4, 2))),
+            "rectangular": (0.3, rect, -1.7, rect2),
+            "zero coefficient": (0.0, lap, 1.0, eye),
+        }
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_matches_scipy_bit_for_bit(self, index_dtype):
+        for name, (a, M, b, N) in self._pairs().items():
+            M, N = _with_index_dtype(M, index_dtype), _with_index_dtype(N, index_dtype)
+            _assert_same_csr(_combine(M.shape, ((a, M), (b, N))), a * M + b * N, name)
+            _assert_same_csr(_combine(M.shape, ((a, M),)), a * M, f"{name}, one term")
+            # a mixed pair takes the wider index type, as scipy does
+            N32 = _with_index_dtype(N, np.int32)
+            _assert_same_csr(_combine(M.shape, ((a, M), (b, N32))), a * M + b * N32, f"{name}, mixed")
+
+    def test_cancelling_drops_entries(self):
+        lap = laplacian_1d(9)
+        out = _combine(lap.shape, ((1.0, lap), (-lap[0, 0], _identity_parts(9))))
+        assert out.nnz == lap.nnz - 9
+        assert _combine(lap.shape, ((1.0, lap), (-1.0, lap))).nnz == 0
+
+    def test_rejects_operand_with_other_row_count(self):
+        with pytest.raises(DimensionMismatchError, match="indptr"):
+            _combine((9, 9), ((1.0, laplacian_1d(9)), (1.0, _identity_parts(8))))
+
+    def test_identity_parts_are_scipys_eye(self):
+        for n in (1, 9, SPARSE_MIN_ORDER):
+            eye = sp.eye_array(n, format="csr")
+            _assert_same_csr(_combine(eye.shape, ((2.5, _identity_parts(n)),)), 2.5 * eye, f"eye {n}")
+
+    def test_lincomb_matches_scipy_blockwise(self):
+        A, B = assemble_operators(example_porosity_spec(p=3, m=7))
+        split_a, split_b = triangular_split(A), triangular_split(B)
+        out = lincomb(1.0, split_b.lower, 0.3, split_a.lower, shift=0.7)
+        assert set(out.blocks) == set(split_b.lower.blocks) | set(split_a.lower.blocks)
+        for (r, c), blk in out.blocks.items():
+            want = 1.0 * split_b.lower.block(r, c) + 0.3 * split_a.lower.block(r, c)
+            if r == c:
+                want = want + 0.7 * sp.eye_array(7, format="csr")
+            _assert_same_csr(blk, want, (r, c))
+        # the shift brings in diagonal blocks neither operand has
+        upper = BlockOperator(A.dims, {(0, 1): A.block(0, 1)})
+        assert set(lincomb(1.0, upper, 1.0, upper, shift=2.0).blocks) == {(0, 0), (0, 1), (1, 1), (2, 2)}
+        assert set(lincomb(1.0, upper, 1.0, upper).blocks) == {(0, 1)}
+
+    def test_assembled_blocks_match_scipy(self):
+        # zero k or zero r entries: k*L + r*I still goes through the sum, which drops zeros
+        spec = example_coupled_spec(p=3, m=9)
+        k, r = np.array(spec.k), np.array(spec.r)
+        k[0, 1] = k[1, 0] = 0.0
+        r[1, 2] = r[2, 1] = 0.0
+        spec = DiffusionSpec(p=3, m=9, k=k, r=r, b=spec.b)
+        A, B = assemble_operators(spec)
+        L, eye = laplacian_1d(9), sp.csr_array(sp.identity(9, format="csr"))
+        for (a, b), blk in A.blocks.items():
+            _assert_same_csr(blk, spec.k[a, b] * L + spec.r[a, b] * eye, ("A", a, b))
+        assert A.block(0, 1).nnz == 9
+        for (a, b), blk in B.blocks.items():
+            _assert_same_csr(blk, spec.b[a, b] * eye, ("B", a, b))
+
+
 class TestTriangularSplit:
+    def test_split_is_cached_per_operator(self):
+        A, B = assemble_operators(example_coupled_spec(p=2, m=9))
+        assert triangular_split(A) is triangular_split(A)
+        assert triangular_split(A) is not triangular_split(B)
+
     def test_two_by_two_scalar_blocks(self):
         dims = BlockDims((1, 1))
         M = BlockOperator.from_dense(dims, np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -683,3 +788,48 @@ class TestManifestIO:
         path.write_text("1.0\nabc\n3.0\n")
         with pytest.raises(ValueError, match=r"v\.txt:2: 'abc' is not a number"):
             read_block_vector(str(path), BlockDims((3,)))
+
+
+class TestSetUpCounts:
+    """Set-up builds each block once: a problem's A and B are split once per
+    problem, and each block of a workspace operator takes one CSR constructor."""
+
+    def test_stability_sweep_splits_a_and_b_once(self, monkeypatch, tmp_path):
+        built, split = [], []
+        build_problem, halves = cli.build_problem, blockops._halves
+
+        def kept(*args):
+            built.append(build_problem(*args))
+            return built[-1]
+
+        def counted(M):
+            split.append(M)
+            return halves(M)
+
+        monkeypatch.setattr(cli, "build_problem", kept)
+        monkeypatch.setattr(blockops, "_halves", counted)
+        config = SHIPPED_CONFIGS / "stability_three_level.ini"
+        assert cli.main(["stability", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        cells = (tmp_path / "stability.csv").read_text().splitlines()[1:]
+        assert len(cells) == 9
+        (problem,) = built
+        assert sorted(map(id, split)) == sorted((id(problem.A), id(problem.B)))
+
+    def test_three_level_prepare_builds_each_workspace_block_once(self, monkeypatch):
+        problem = build_coupled_diffusion(example_porosity_spec(p=2, m=31))
+        cfg = SchemeConfig(SchemeKind.THREE_LEVEL, sigma=1.0, tau=0.01, n_steps=10)
+        init, made = _compressed._cs_matrix.__init__, []
+
+        def counted(self, *args, **kwargs):
+            made.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_compressed._cs_matrix, "__init__", counted)
+        # the split belongs to the problem: one constructor per halved diagonal block
+        triangular_split(problem.A), triangular_split(problem.B)
+        assert len(made) == 4
+        made.clear()
+        ws = prepare(problem, cfg)
+        blocks = sum(len(op.blocks) for op in (ws.c1_plus, ws.c2_plus, ws.startup.shifted))
+        assert blocks == 10
+        assert len(made) <= blocks

@@ -149,6 +149,17 @@ class TestTriangularSweeps:
         with pytest.raises(DimensionMismatchError):
             solve_block_upper(L, bad, diag)
 
+    @pytest.mark.parametrize("factor_sizes", [(2, 2, 2, 2), (2, 2), (2, 3, 2)])
+    def test_factors_must_match_components(self, factor_sizes):
+        # more factors than components once returned all ones, fewer an IndexError
+        dims = BlockDims((2, 2, 2))
+        T = BlockOperator.identity(dims)
+        diag = DiagFactorization.from_operator(BlockOperator.identity(BlockDims(factor_sizes)))
+        rhs = BlockVector.from_parts(dims, ([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]))
+        for sweep in (solve_block_lower, solve_block_upper):
+            with pytest.raises(DimensionMismatchError, match="diagonal factors"):
+                sweep(T, rhs, diag)
+
     @given(seeds)
     def test_sweeps_match_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)
