@@ -51,7 +51,6 @@ from .schemes import (
     SchemeInapplicableError,
     SchemeKind,
     constant_forcing,
-    prepare,
     run,
     zero_forcing,
 )
@@ -395,7 +394,7 @@ def _expected_window(kind: SchemeKind, sigma: float) -> tuple[float, float]:
 
 
 def _stability_cell(problem, cfg: SchemeConfig):
-    """One sweep cell: (min_slack, r_min_eig, status)."""
+    """One sweep cell: (min_slack, r_min_eig or ``unresolved``, status)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         observer = EnergyObserver() if cfg.kind is SchemeKind.THREE_LEVEL else EstimateObserver()
         min_slack, scale = None, 1.0
@@ -406,10 +405,9 @@ def _stability_cell(problem, cfg: SchemeConfig):
             pass  # a breakdown, or a weight indefinite out of hypothesis: nothing to measure
         r_eig = None
         if cfg.kind is SchemeKind.THREE_LEVEL:
-            if observer.initial_energy is None:
-                # the run broke in its startup step, before initial assembled R
-                observer.assemble(problem, cfg, prepare(problem, cfg))
+            # R comes from the run's workspace, kept even past a broken startup step
             r_eig = observer.diff_weight_min_eig()
+            r_eig = "unresolved" if r_eig is None else r_eig
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"
     elif min_slack is not None and np.isfinite(min_slack) and min_slack >= -SLACK_REL_TOL * scale:

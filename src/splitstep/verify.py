@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import BlockOperator, BlockVector, CertificateError, matvec, triangular_split, weighted_norm
+from .blockops import BlockOperator, BlockVector, CertificateError, matvec, weighted_norm
 from .linsolve import (
     SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
 )
@@ -64,23 +64,6 @@ def _whole(op: BlockOperator):
     """The operator as one matrix: dense below ``SPARSE_MIN_ORDER``, CSR above,
     the crossover of ``factor_spd`` (at N = 62 CSR weights measured slower)."""
     return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
-
-
-def _plus_identity(matrix, shift: float):
-    """matrix + shift I, entry for entry what ``matrix + shift * sp.eye_array(n)``
-    gives; a dense matrix, which the caller has no further use for, is
-    shifted in place rather than through a sparse identity."""
-    if sp.issparse(matrix):
-        return matrix + shift * sp.eye_array(matrix.shape[0], format="csr")
-    matrix[np.diag_indices_from(matrix)] += shift
-    return matrix
-
-
-def _product(matrix) -> Callable:
-    """x -> matrix @ x, by ``blockops.matvec`` for a CSR matrix."""
-    if sp.issparse(matrix):
-        return lambda x: matvec(matrix, x)
-    return lambda x: matrix @ x
 
 
 # CG on the factorized weight stops once an increment of (W^{-1} v, v) is this
@@ -143,9 +126,10 @@ class _LevelObserver(RunObserver):
     (M^{-1} phi, phi) = sum_jk exp((r_j + r_k) t) G_jk.  ``assemble`` solves
     M g_k = v_k once per nonzero term; G_jk = (g_j, v_k) + (g_k, v_j) - (M g_j, g_k)
     has an error quadratic in those of the g_k, (g_j, v_k) alone a linear one.
-    ``prepared`` keeps the run's workspace, and ``initial`` assembles with
-    it.  Transitions must follow on from the level ``initial`` saw, as ``run``
-    calls them: the last energy is kept, and ``prev.n`` indexes the forcing.
+    ``prepared`` keeps the run's problem, configuration and workspace, and
+    ``initial`` assembles with them.  Transitions must follow on from the
+    level ``initial`` saw, as ``run`` calls them: the last energy is kept, and
+    ``prev.n`` indexes the forcing.
     """
 
     def __init__(self):
@@ -155,11 +139,11 @@ class _LevelObserver(RunObserver):
         self._workspace = None
 
     def prepared(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
-        self._workspace = workspace
+        self._problem, self._cfg, self._workspace = problem, cfg, workspace
 
-    def _solve_forcing(self, problem: EvolutionProblem, cfg: SchemeConfig, solve: Callable, apply: Callable):
-        terms = _exponential_terms(problem, "estimate forcing term")
-        shape = (len(terms), problem.dims.total)
+    def _solve_forcing(self, solve: Callable, apply: Callable):
+        terms = _exponential_terms(self._problem, "estimate forcing term")
+        shape = (len(terms), self._problem.dims.total)
         vecs = np.array([vec.to_flat() for _, vec in terms]).reshape(shape)
         # a term whose vector is zero costs no solve and no product
         sols = np.array([solve(v) if v.any() else v for v in vecs]).reshape(shape)
@@ -167,12 +151,11 @@ class _LevelObserver(RunObserver):
         gram = sols @ vecs.T + vecs @ sols.T - sols @ products.T
         rates = [rate for rate, _ in terms]
         self._terms = [(rj + rk, float(g)) for rj, row in zip(rates, gram) for rk, g in zip(rates, row)]
-        self._tau, self._sigma = cfg.tau, cfg.sigma
 
     def forcing_term(self, n: int) -> float:
         """(tau/2) (M^{-1} phi, phi) for the forcing sample phi of transition n."""
-        t = (n + self._sigma) * self._tau
-        return 0.5 * self._tau * sum(g * math.exp(rate * t) for rate, g in self._terms)
+        t = (n + self._cfg.sigma) * self._cfg.tau
+        return 0.5 * self._cfg.tau * sum(g * math.exp(rate * t) for rate, g in self._terms)
 
     def _start(self, problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState) -> float:
         if self._workspace is None:
@@ -200,21 +183,21 @@ class EstimateObserver(_LevelObserver):
     """
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
-        """W^{-1} v_k for every forcing term, with the workspace of ``prepare``;
-        ``initial`` calls this with the run's."""
+        """W^{-1} v_k for every forcing term, with the workspace of ``prepare``,
+        which the observer keeps; ``initial`` calls this with the run's."""
         if cfg.kind not in (SchemeKind.WEIGHTED, SchemeKind.FACTORIZED):
             raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
-        self._A = problem.A
+        self.prepared(problem, cfg, workspace)
         if cfg.kind is SchemeKind.WEIGHTED:
             w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
             solve, apply = factor_spd(w, context="estimate weight").solve, (lambda x: w @ x)
         else:
             solve, apply = _factorized_weight(problem, cfg, workspace)
-        self._solve_forcing(problem, cfg, solve, apply)
+        self._solve_forcing(solve, apply)
 
     def energy(self, state: SchemeState) -> float:
         """||y^n||_A^2, from the norm ``run`` attached to the state if there is one."""
-        norm_a = weighted_norm(self._A, state.y) if state.norm_a is None else state.norm_a
+        norm_a = weighted_norm(self._problem.A, state.y) if state.norm_a is None else state.norm_a
         return norm_a**2
 
     def initial(self, problem, cfg, state):
@@ -228,50 +211,56 @@ class EstimateObserver(_LevelObserver):
 class EnergyObserver(_LevelObserver):
     """Certifies the energy bound of the three-level factorized scheme.
 
-    With C1 = B1 + sigma*tau*A1, C2 = B2 + sigma*tau*A2, C = B + sigma*tau*A,
-    D = (tau / (2 eps)) (C1 C2 + eps^2 I) and R = D - (tau^2/4) A, the energy
+    With C1 = B1 + sigma*tau*A1, C2 = B2 + sigma*tau*A2 = C1^T, C = C1 + C2 and
+    R = (tau / (2 eps)) (C1 C2 + eps^2 I) - (tau^2/4) A, the energy
 
         E_n = ||(y^n + y^{n-1})/2||_A^2 + ||(y^n - y^{n-1})/tau||_R^2
 
     obeys E_{n+1} <= E_n + (tau/2) (C^{-1} phi^n, phi^n) for sigma >= 1,
-    where R is positive definite.  ``initial`` assembles R from the
-    triangular splits (sparse above ``SPARSE_MIN_ORDER``) for any admitted
-    sigma, so out-of-hypothesis behavior can be probed: R is not checked
-    positive definite.  C and its factor are those of the workspace's startup
-    step.
+    where R is positive definite.  ``energy`` reads E_n off the step's own
+    operators, so no run assembles R: its entries grow like (sigma tau k/h^2)^2,
+    and from m = 16383 up their rounding swamped the O(1) energy.  C and its
+    factor are those of the workspace's startup step.  R is not checked
+    positive definite, so out-of-hypothesis sigma can be probed.
     """
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
-        """A and R, and C^{-1} v_k for every forcing term, with the workspace of
-        ``prepare``; ``initial`` calls this with the run's."""
+        """C^{-1} v_k for every forcing term, with the workspace of ``prepare``,
+        which the observer keeps; ``initial`` calls this with the run's."""
         if cfg.kind is not SchemeKind.THREE_LEVEL:
             raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
-        self._a = _whole(problem.A)
-        a_split, b_split = triangular_split(problem.A), triangular_split(problem.B)
-        st = cfg.sigma * cfg.tau
-        c1 = _whole(b_split.lower) + st * _whole(a_split.lower)
-        c2 = _whole(b_split.upper) + st * _whole(a_split.upper)
-        r = (cfg.tau / (2.0 * cfg.epsilon)) * _plus_identity(c1 @ c2, cfg.epsilon**2) - (cfg.tau**2 / 4.0) * self._a
-        # symmetric up to rounding: triangular_split certified A and B symmetric
-        self._r = 0.5 * (r + r.T)
-        self._a_times, self._r_times = _product(self._a), _product(self._r)
+        self.prepared(problem, cfg, workspace)
         startup = workspace.startup
-        self._solve_forcing(problem, cfg, startup.factor.solve, _product(_whole(startup.shifted)))
+        c = startup.shifted._matrix
+        self._solve_forcing(startup.factor.solve, lambda x: matvec(c, x))
 
     def energy(self, state: SchemeState) -> float:
-        """E_n of the pair (y^n, y^{n-1})."""
+        """E_n of the pair (y^n, y^{n-1}) as (A y^n, y^{n-1}) + (tau/(2 eps)) (||C2 r||^2 + eps^2 ||r||^2),
+        r = (y^n - y^{n-1})/tau: for symmetric A, ||(y + y')/2||_A^2 - (tau^2/4) (A r, r) = (A y, y'),
+        and (C1 C2 r, r) = ||C2 r||^2.  A y^n is the product ``run`` attached to the
+        state (applied afresh for a bare one), and C2 r = (C2 + eps E) r - eps r."""
         if state.y_prev is None:
             raise ValueError("three-level energy needs a state carrying its previous level")
+        tau, eps = self._cfg.tau, self._cfg.epsilon
+        a_y = self._problem.A.apply(state.y) if state.a_y is None else state.a_y
         y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
-        mean, rate = 0.5 * (y + y_prev), (y - y_prev) / self._tau
-        return float(mean @ self._a_times(mean)) + float(rate @ self._r_times(rate))
+        rate = (y - y_prev) / tau
+        c2_rate = matvec(self._workspace.c2_plus._matrix, rate) - eps * rate
+        squares = float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate)
+        return float(a_y.to_flat() @ y_prev) + (tau / (2.0 * eps)) * squares
 
     def diff_weight(self):
-        """The assembled R: dense below ``SPARSE_MIN_ORDER``, CSR above."""
-        return self._r
+        """R, built from the kept workspace on demand (no run needs it): dense
+        below ``SPARSE_MIN_ORDER``, CSR above.  R = (tau/(2 eps)) (C1 + eps E)(C2 + eps E)
+        - (tau/2) C - (tau^2/4) A, as (C1 + eps E)(C2 + eps E) = C1 C2 + eps C + eps^2 I."""
+        if self._workspace is None:
+            raise ValueError("the difference weight needs the run's workspace: prepared must come first")
+        ws, tau, eps = self._workspace, self._cfg.tau, self._cfg.epsilon
+        product = (tau / (2.0 * eps)) * (_whole(ws.c1_plus) @ _whole(ws.c2_plus))
+        return product - (0.5 * tau) * _whole(ws.startup.shifted) - (0.25 * tau**2) * _whole(self._problem.A)
 
-    def diff_weight_min_eig(self) -> float:
-        """Smallest eigenvalue of R.
+    def diff_weight_min_eig(self) -> Optional[float]:
+        """Smallest eigenvalue of R, or None where R's rounding decides it.
 
         Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above it, Lanczos
         iteration (``eigsh``) on (R - s I)^{-1} with a shift s below the
@@ -279,11 +268,17 @@ class EnergyObserver(_LevelObserver):
         succeeds: s = 0 when R is positive definite.  Otherwise s starts at
         twice a Gershgorin lower bound and is bisected towards 0 until it
         lies within 1% of the smallest eigenvalue, so the iteration does not
-        crawl through a spectrum seen from far below.
+        crawl through a spectrum seen from far below.  The built R is off by
+        up to about u ||R||_inf, u = 2^-53 (at most 1.04 u ||R||_inf measured
+        for m from 31 to 16383): below 8 u ||R||_inf, |lambda| has neither a
+        resolved size nor a resolved sign.
         """
-        r = self._r
+        r = self.diff_weight()
+        row_sums = abs(r).sum(axis=1)
+        rounding = 8.0 * 2.0**-53 * float(row_sums.max())
         if not sp.issparse(r):
-            return float(np.linalg.eigvalsh(r)[0])
+            lam = float(np.linalg.eigvalsh(r)[0])
+            return lam if abs(lam) > rounding else None
         # imported here: only large difference weights need it
         from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -292,7 +287,7 @@ class EnergyObserver(_LevelObserver):
             shift, factor = 0.0, factor_spd(r, context="difference weight")
         except NotPositiveDefiniteError:
             diag = r.diagonal()
-            gershgorin = float((diag + abs(diag) - abs(r).sum(axis=1)).min())
+            gershgorin = float((diag + abs(diag) - row_sums).min())
             shift = 2.0 * min(gershgorin, 0.0)
             factor = factor_spd(r - shift * eye, context="difference weight below its spectrum")
             upper = 0.0
@@ -309,7 +304,7 @@ class EnergyObserver(_LevelObserver):
                     upper = trial
         inverse = LinearOperator(r.shape, matvec=factor.solve, dtype=float)
         (lam,) = eigsh(r, k=1, sigma=shift, which="LM", OPinv=inverse, return_eigenvectors=False)
-        return float(lam)
+        return float(lam) if abs(lam) > rounding else None
 
     def initial(self, problem, cfg, state):
         return {"energy": self._start(problem, cfg, state)}

@@ -243,6 +243,69 @@ def modal_forcing_term(spec, sigma: float, tau: float, amplitudes=(1.0, 2.0)) ->
     return 0.5 * tau * math.exp(-2.0 * sigma * tau) * (s @ s) * float(w @ np.linalg.solve(w_m, w))
 
 
+def dense_three_level_energy(problem: EvolutionProblem, cfg: SchemeConfig):
+    """(y, y_prev) -> E of the three-level energy, from dense operators in
+    factored form: (A y, y_prev) + (tau/(2 eps)) (||C2 r||^2 + eps^2 ||r||^2),
+    r = (y - y_prev)/tau.  The assembled ``dense_diff_weight`` loses the
+    energy's digits: at p = 4, m = 255, tau = 1/32 it is 2e-10 off."""
+    a_split = triangular_split(problem.A)
+    b_split = triangular_split(problem.B)
+    a = problem.A.to_dense()
+    c2 = b_split.upper.to_dense() + cfg.sigma * cfg.tau * a_split.upper.to_dense()
+    tau, eps = cfg.tau, cfg.epsilon
+
+    def energy(y, y_prev):
+        rate = (y - y_prev) / tau
+        c2_rate = c2 @ rate
+        return float(y @ a @ y_prev) + tau / (2.0 * eps) * (float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate))
+
+    return energy
+
+
+def longdouble_three_level_energy(problem: EvolutionProblem, cfg: SchemeConfig):
+    """(y, y_prev) -> the three-level energy ||(y + y_prev)/2||_A^2 + ||r||_R^2 in
+    ``np.longdouble``, R applied as (tau/(2 eps)) (C1 (C2 r) + eps^2 r) - (tau^2/4) A r:
+    the defining form, by products with the unassembled triangular parts."""
+    ld = np.longdouble
+    a_split = triangular_split(problem.A)
+    b_split = triangular_split(problem.B)
+    st = ld(cfg.sigma) * ld(cfg.tau)
+    a = problem.A.to_dense().astype(ld)
+    c1 = b_split.lower.to_dense().astype(ld) + st * a_split.lower.to_dense().astype(ld)
+    c2 = b_split.upper.to_dense().astype(ld) + st * a_split.upper.to_dense().astype(ld)
+    tau, eps = ld(cfg.tau), ld(cfg.epsilon)
+
+    def energy(y, y_prev):
+        y, y_prev = np.asarray(y, dtype=ld), np.asarray(y_prev, dtype=ld)
+        mean, rate = (y + y_prev) / 2, (y - y_prev) / tau
+        r_rate = tau / (2 * eps) * (c1 @ (c2 @ rate) + eps**2 * rate) - tau**2 / 4 * (a @ rate)
+        return float(mean @ (a @ mean) + rate @ r_rate)
+
+    return energy
+
+
+def modal_three_level_energy(spec, cfg: SchemeConfig, y: np.ndarray, y_prev: np.ndarray) -> float:
+    """The three-level energy of two levels of ``manufactured_problem(spec)``
+    that lie in the first sine mode s, from p-by-p tables.
+
+    Every block acts on s as a scalar, so with c and c' the levels' mode
+    coefficients, rho = (c - c')/tau, K = k lambda_1 + r and
+    U = upper(b) + sigma tau upper(K), upper(X) the upper triangle of X with
+    half its diagonal: E = (s, s) [c'^T K c + (tau/(2 eps)) (|U rho|^2 + eps^2 |rho|^2)].
+    """
+
+    def upper(x):
+        return np.triu(x, 1) + 0.5 * np.diag(np.diag(x))
+
+    K = spec.k * laplacian_min_eig(spec.m) + spec.r
+    U = upper(spec.b) + cfg.sigma * cfg.tau * upper(K)
+    s = np.sin(np.pi * spec.grid)
+    c, c_prev = (np.reshape(v, (spec.p, spec.m)) @ s / (s @ s) for v in (y, y_prev))
+    rho = (c - c_prev) / cfg.tau
+    eps = cfg.epsilon
+    return (s @ s) * float(c_prev @ K @ c + cfg.tau / (2.0 * eps) * (np.sum((U @ rho) ** 2) + eps**2 * rho @ rho))
+
+
 def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> list[float]:
     """The estimate slack of every certified transition of a run, from dense
     operators; the same transitions ``verify.run_slacks`` covers."""
@@ -251,12 +314,10 @@ def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) 
     three_level = cfg.kind is SchemeKind.THREE_LEVEL
     solve = dense_forcing_solve(problem, cfg)
     if three_level:
-        r = dense_diff_weight(problem, cfg)
+        pair_energy = dense_three_level_energy(problem, cfg)
 
         def energy(n):
-            y, y_prev = log.states[n].to_flat(), log.states[n - 1].to_flat()
-            mean, rate = 0.5 * (y + y_prev), (y - y_prev) / tau
-            return float(mean @ a @ mean) + float(rate @ r @ rate)
+            return pair_energy(log.states[n].to_flat(), log.states[n - 1].to_flat())
 
     else:
 

@@ -515,6 +515,36 @@ class TestStabilityCommand:
                 assert float(row[4]) > 0.0
                 assert float(row[3]) >= -1e-10
 
+    def test_three_level_sweep_at_m16383(self, tmp_path, capsys):
+        # the shipped problem at M = 16383: the energy read off the step's own
+        # operators certifies every cell, where the assembled R gave a min
+        # slack of -1061 at tau = 1; R's rounding there exceeds its smallest
+        # eigenvalue, which the table says instead of printing a number
+        config = write_config(
+            tmp_path,
+            """\
+            [problem]
+            kind = double_porosity
+            p = 2
+            M = 16383
+            b = 1 0.2; 0.2 0.5
+
+            [scheme]
+            kind = three_level
+            epsilon = 1.0
+            sigmas = 1.0
+            taus = 0.01 0.1 1.0
+            n_steps = 20
+            T = 1.0
+            """,
+        )
+        assert main(["stability", "--config", config, "--out", str(tmp_path)]) == 0
+        statuses = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if "status=" in line]
+        assert statuses == ["status=ok"] * 3
+        _, rows = read_csv(tmp_path / "stability.csv")
+        assert [row[4] for row in rows[1:]] == ["unresolved", "unresolved"]
+        assert float(rows[0][4]) > 0.0
+
     def test_three_level_estimate_built_once_per_cell(self, tmp_path, monkeypatch):
         # the r_min_eig column reads the observer's weights, not a second set
         built = []

@@ -46,10 +46,13 @@ from helpers import (
     dense_diff_weight,
     dense_forcing_solve,
     dense_run_slacks,
+    dense_three_level_energy,
     factorized_operator_dense,
     factorized_operator_identity_error,
     factorized_operator_psd_margin,
+    longdouble_three_level_energy,
     modal_forcing_term,
+    modal_three_level_energy,
     random_problem,
     random_smooth_forcing,
     scalar_problem,
@@ -388,6 +391,26 @@ def test_transitions_make_no_scipy_matmul(monkeypatch, kind, sigma, m):
     assert calls == []
 
 
+def test_certified_three_level_run_makes_no_scipy_matmul(monkeypatch):
+    # the energy is read off the workspace's operators and R is never
+    # assembled: no sparse product at N = 128 (CSR), initial included
+    prob = _certified_problem("three_level", 64)
+    cfg = SchemeConfig("three_level", sigma=1.0, tau=1 / 64, n_steps=7)
+    calls = []
+    for name in ("__matmul__", "__rmatmul__"):
+        real = getattr(sp_base._spbase, name)
+
+        def counted(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(sp_base._spbase, name, counted)
+    obs = EnergyObserver()
+    log = run(prob, cfg, observers=(obs,), keep_states=False)
+    assert len(log.records) == cfg.n_steps + 1 and math.isfinite(obs.min_slack)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind, sigma", CERTIFIED_RUNS)
 def test_certified_run_prepares_once(monkeypatch, kind, sigma):
     # the observers take their operators and factors from the run's workspace
@@ -520,6 +543,49 @@ class TestSparseObservers:
         f = forcing_sample(prob, cfg, 0).to_flat()
         got = 0.5 * cfg.tau * float(f @ dense_forcing_solve(prob, cfg)(f))
         assert got == pytest.approx(modal_forcing_term(spec, sigma, cfg.tau), rel=1e-12)
+
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_dense_oracle_energy_is_longdouble_exact(self, sigma):
+        # the factored dense energy against the defining form in extended
+        # precision; the assembled dense R alone is 2e-10 off here
+        spec = example_porosity_spec(p=4, m=255)
+        prob = build_coupled_diffusion(spec, forcing=random_smooth_forcing(np.random.default_rng(23), spec.dims))
+        cfg = SchemeConfig("three_level", sigma=sigma, tau=1.0 / 32, n_steps=8)
+        levels = [y.to_flat() for y in run(prob, cfg).states]
+        oracle, exact = dense_three_level_energy(prob, cfg), longdouble_three_level_energy(prob, cfg)
+        for y, y_prev in zip(levels[1:], levels):
+            assert oracle(y, y_prev) == pytest.approx(exact(y, y_prev), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0])
+    def test_three_level_energy_at_m65535_is_modal(self, tau):
+        # every level stays in the first sine mode, so each energy comes from
+        # 2-by-2 tables; the assembled R was 39% (tau = 0.1) to 130x (tau = 1) off
+        spec = example_porosity_spec(p=2, m=65_535)
+        prob = manufactured_problem(spec).problem
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=tau, n_steps=8)
+        obs = EnergyObserver()
+        log = run(prob, cfg, observers=(obs,))
+        levels = [y.to_flat() for y in log.states]
+        for n in range(1, cfg.n_steps + 1):
+            want = modal_three_level_energy(spec, cfg, levels[n], levels[n - 1])
+            assert log.records[n].extras["energy"] == pytest.approx(want, rel=1e-7)
+        assert obs.min_slack >= -1e-10 * obs.initial_energy
+
+    @pytest.mark.parametrize("m, unresolved", [(16_383, True), (31, False)])
+    def test_diff_weight_min_eig_unresolved_in_rounding(self, m, unresolved):
+        # at m = 16383, tau = 1, u ||R||_inf is about 45, above the smallest
+        # eigenvalue (about 12) itself; at m = 31 the eigenvalue is far above
+        # R's rounding
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=m))
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=1.0, n_steps=2)
+        obs = EnergyObserver()
+        obs.assemble(prob, cfg, prepare(prob, cfg))
+        lam = obs.diff_weight_min_eig()
+        if unresolved:
+            assert lam is None
+        else:
+            assert lam == pytest.approx(float(np.linalg.eigvalsh(dense_diff_weight(prob, cfg))[0]), rel=1e-9)
 
 
 class TestReferenceSolution:
