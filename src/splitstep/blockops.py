@@ -405,14 +405,19 @@ class BlockOperator:
         return all(a >= b for (a, b) in self.blocks), all(a <= b for (a, b) in self.blocks)
 
     @cached_property
-    def off_diagonal_rows(self) -> tuple[tuple[tuple[int, sp.csr_array], ...], ...]:
-        """Per block row a, the pairs (c, block (a, c)) with c != a, in ascending c:
-        the plan of a substitution sweep, settled once per operator."""
-        rows = [[] for _ in range(self.dims.p)]
-        for (a, c), blk in sorted(self.blocks.items()):
-            if a != c:
-                rows[a].append((c, blk))
-        return tuple(tuple(row) for row in rows)
+    def row_strips(self) -> tuple[Optional[tuple[int, int, sp.csr_array]], ...]:
+        """Per block row, None without off-diagonal blocks, else (start, stop, strip):
+        those blocks side by side as one CSR matrix on the flat columns [start, stop),
+        gaps stored empty, a lone block as it is.  A sweep's one product per row."""
+        off, sizes, strips = self.dims.offsets, self.dims.sizes, [None] * self.dims.p
+        for a in range(self.dims.p):
+            cols = sorted(c for r, c in self.blocks if r == a != c)
+            if cols:
+                lo, hi = cols[0], cols[-1] + 1
+                parts = [self.blocks[(a, c)] if c in cols else sp.csr_array((sizes[a], sizes[c]))
+                         for c in range(lo, hi)]
+                strips[a] = (off[lo], off[hi], sp.hstack(parts, format="csr") if parts[1:] else parts[0])
+        return tuple(strips)
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,8 @@ def cmd_run(args, cp, config_dir: str) -> int:
     _say(args, f"scheme={kind.value} sigma={sigma:g} tau={tau:.17g} steps={n_steps}")
     _say(args, f"final: t={final.t:.17g} norm_a={final.norm_a:.17g}")
     status = 0
-    if observer is not None and cfg.in_hypothesis:
+    # a three-level run of one step certifies no transition: its min slack stays inf
+    if observer is not None and cfg.in_hypothesis and observer.min_slack < np.inf:
         ok = observer.min_slack >= -SLACK_REL_TOL * max(observer.initial_energy, 1e-300)
         _say(args, f"min slack={observer.min_slack:.6e} ({'ok' if ok else 'VIOLATED'})")
         if not ok:
@@ -424,6 +425,8 @@ def cmd_stability(args, cp, config_dir: str) -> int:
     sigmas = _parse_numbers(_require(cp, "scheme", "sigmas"), "[scheme] sigmas")
     taus = _parse_numbers(_require(cp, "scheme", "taus"), "[scheme] taus")
     n_steps = _parse_int(_get(cp, "scheme", "n_steps", "100"), "[scheme] n_steps")
+    if kind is SchemeKind.THREE_LEVEL and n_steps < 2:
+        raise ConfigError(f"[scheme] n_steps={n_steps}: a three-level cell certifies no transition below 2 steps")
     cells = []
     for s, t in itertools.product(sigmas, taus):
         # not through _make_config: the sweep probes out-of-hypothesis cells

@@ -22,9 +22,8 @@ natural block order and a few p after the reordering, so a step costs O(N)
 once the factor exists; the diagonal blocks of the 1-D problems are
 tridiagonal.
 
-A sweep walks the plan its frozen operator settles once, the off-diagonal
-blocks of each block row (``BlockOperator.off_diagonal_rows``), and makes
-each product with ``blockops.matvec``.
+A sweep makes one product per block row, with the row strip its frozen
+operator settles once (``BlockOperator.row_strips``), by ``blockops.matvec``.
 
 The per-step solves skip LAPACK's scan of the right-hand side for non-finite
 values (``check_finite=False``); ``schemes.run`` checks every new level
@@ -220,23 +219,21 @@ class DiagFactorization:
 
 def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, descending: bool) -> BlockVector:
     """Block substitution, components in ascending or descending order: each
-    component's right-hand side loses the blocks of the components already
-    solved, one at a time in the order they were solved.  The blocks come from
-    the operator's cached plan (``BlockOperator.off_diagonal_rows``).  The
-    factors must be those of T's components, one per component, or a factor
-    of the wrong order or a missing one would go unnoticed."""
+    component's right-hand side loses one product, its row strip times the
+    components already solved.  The factors must be those of T's components, one
+    per component, or a factor of the wrong order or a missing one would go unnoticed."""
     if T.dims.sizes != rhs.dims.sizes:
         raise DimensionMismatchError(f"dims {T.dims.sizes} != {rhs.dims.sizes}")
     if diag.dims.sizes != T.dims.sizes:
         raise DimensionMismatchError(f"diagonal factors for dims {diag.dims.sizes} != operator dims {T.dims.sizes}")
     off = T.dims.offsets
-    plan = T.off_diagonal_rows
     b = rhs.to_flat()
     x = np.empty_like(b)
     for a in range(T.dims.p - 1, -1, -1) if descending else range(T.dims.p):
         acc = b[off[a] : off[a + 1]]
-        for c, blk in reversed(plan[a]) if descending else plan[a]:
-            acc = acc - matvec(blk, x[off[c] : off[c + 1]])
+        if T.row_strips[a] is not None:
+            start, stop, strip = T.row_strips[a]
+            acc = acc - matvec(strip, x[start:stop])
         x[off[a] : off[a + 1]] = diag.solve_block(a, acc)
     return BlockVector._own(T.dims, x)
 

@@ -30,7 +30,7 @@ from scipy.linalg import eigh
 
 from .blockops import BlockOperator, BlockVector, CertificateError, matvec, weighted_norm
 from .linsolve import (
-    SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
+    SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd, solve_block_lower
 )
 from .schemes import (
     EvolutionProblem,
@@ -79,20 +79,18 @@ def _factorized_weight(
 ) -> tuple[Callable, Callable]:
     """Solve and product with the factorized weight W = S B^{-1} S^T - (tau/2) A.
 
-    S = B + sigma*tau*A1 and S^T are the run's workspace operators; CG is
-    preconditioned by the step's own solve with P = S B^{-1} S^T.  Assembled at
-    N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2 (about 1e14) would
-    drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
+    S = B + sigma*tau*A1 and S^T are the run's workspace operators, B^{-1} a sweep
+    on block-diagonal B; CG is preconditioned by the step's own solve with
+    P = S B^{-1} S^T.  Assembled at N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2
+    (about 1e14) would drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
     """
     # the operators' own cached matrices: read here, never written
     s, s_t, a = ws.lower._matrix, ws.upper._matrix, problem.A._matrix
     b_factors = DiagFactorization.from_operator(problem.B)
-    off = problem.dims.offsets
 
     def apply_w(x):
-        y = matvec(s_t, x)
-        y = np.concatenate([b_factors.solve_block(c, y[off[c] : off[c + 1]]) for c in range(len(off) - 1)])
-        return matvec(s, y) - (0.5 * cfg.tau) * matvec(a, x)
+        y = solve_block_lower(problem.B, BlockVector._own(problem.dims, matvec(s_t, x)), b_factors)
+        return matvec(s, y.to_flat()) - (0.5 * cfg.tau) * matvec(a, x)
 
     def precondition(r):
         return _factorized_solve(problem.B, ws, BlockVector._own(problem.dims, r)).to_flat()
@@ -262,16 +260,18 @@ class EnergyObserver(_LevelObserver):
     def diff_weight_min_eig(self) -> Optional[float]:
         """Smallest eigenvalue of R, or None where R's rounding decides it.
 
-        Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above it, Lanczos
-        iteration (``eigsh``) on (R - s I)^{-1} with a shift s below the
-        spectrum, certified by a Cholesky factorization of R - s I that
-        succeeds: s = 0 when R is positive definite.  Otherwise s starts at
-        twice a Gershgorin lower bound and is bisected towards 0 until it
-        lies within 1% of the smallest eigenvalue, so the iteration does not
-        crawl through a spectrum seen from far below.  The built R is off by
-        up to about u ||R||_inf, u = 2^-53 (at most 1.04 u ||R||_inf measured
-        for m from 31 to 16383): below 8 u ||R||_inf, |lambda| has neither a
-        resolved size nor a resolved sign.
+        The built R is off by up to about u ||R||_inf, u = 2^-53 (at most
+        1.04 u ||R||_inf measured for m from 31 to 16383): below
+        delta = 8 u ||R||_inf, |lambda| has neither a resolved size nor a
+        resolved sign.  Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above
+        it, Cholesky factorizations of R - delta I and R + delta I settle that
+        first: None when only the second succeeds, with no eigen-iteration.
+        Otherwise Lanczos iteration (``eigsh``) on (R - s I)^{-1} with a shift
+        s below the spectrum, certified by a factorization of R - s I that
+        succeeds: s = 0 when R - delta I is positive definite.  When R + delta I
+        is not, s starts at twice a Gershgorin lower bound and is bisected
+        towards 0 until it lies within 1% of the smallest eigenvalue, so the
+        iteration does not crawl through a spectrum seen from far below.
         """
         r = self.diff_weight()
         row_sums = abs(r).sum(axis=1)
@@ -283,9 +283,19 @@ class EnergyObserver(_LevelObserver):
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         eye = sp.eye_array(r.shape[0], format="csr")
-        try:
+
+        def factor_below(s):
+            """A factor of R - s I, or None when s is not below R's spectrum."""
+            try:
+                return factor_spd(r - s * eye, context="difference weight")
+            except NotPositiveDefiniteError:
+                return None
+
+        if factor_below(rounding) is not None:
             shift, factor = 0.0, factor_spd(r, context="difference weight")
-        except NotPositiveDefiniteError:
+        elif factor_below(-rounding) is not None:
+            return None
+        else:
             diag = r.diagonal()
             gershgorin = float((diag + abs(diag) - row_sums).min())
             shift = 2.0 * min(gershgorin, 0.0)
@@ -297,11 +307,11 @@ class EnergyObserver(_LevelObserver):
                 if upper - shift <= 0.01 * abs(shift):
                     break
                 trial = 0.5 * (shift + upper)
-                try:
-                    factor = factor_spd(r - trial * eye, context="difference weight")
-                    shift = trial
-                except NotPositiveDefiniteError:
+                below = factor_below(trial)
+                if below is None:
                     upper = trial
+                else:
+                    shift, factor = trial, below
         inverse = LinearOperator(r.shape, matvec=factor.solve, dtype=float)
         (lam,) = eigsh(r, k=1, sigma=shift, which="LM", OPinv=inverse, return_eigenvectors=False)
         return float(lam) if abs(lam) > rounding else None

@@ -10,11 +10,13 @@ from splitstep import (
     BlockDims,
     BlockOperator,
     BlockVector,
+    DiffusionSpec,
     EvolutionProblem,
     ExponentialSumForcing,
     RunLog,
     SchemeConfig,
     SchemeKind,
+    example_coupled_spec,
     forcing_sample,
     laplacian_min_eig,
     triangular_split,
@@ -66,6 +68,17 @@ def random_spd(rng, dims: BlockDims, sparse_fraction=0.0) -> BlockOperator:
         blocks = {key: _maybe_sparse(rng, blk, sparse_fraction) for key, blk in op.blocks.items()}
         op = BlockOperator(dims, blocks)
     return op
+
+
+def full_spec(p: int, m: int, coupled_b: bool = False) -> DiffusionSpec:
+    """The example tables with every off-diagonal entry present: k_ab = 0.2/(1+|a-b|)
+    and r_ab = -0.05/(1+|a-b|), and with ``coupled_b`` also b_ab = 0.1/(1+|a-b|)."""
+    base = example_coupled_spec(p=p, m=m)
+    index = np.arange(p)
+    decay = (1.0 - np.eye(p)) / (1.0 + np.abs(index[:, None] - index[None, :]))
+    k, r = np.diag(np.diag(base.k)) + 0.2 * decay, np.diag(np.diag(base.r)) - 0.05 * decay
+    b = base.b + 0.1 * decay if coupled_b else base.b
+    return DiffusionSpec(p=p, m=m, k=k, r=r, b=b)
 
 
 def random_block_diag_spd(rng, dims: BlockDims) -> BlockOperator:

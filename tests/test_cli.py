@@ -152,6 +152,26 @@ class TestRunCommand:
         energies = [float(row[3]) for row in rows[1:]]
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(energies, energies[1:]))
 
+    def test_one_three_level_step_certifies_nothing(self, tmp_path, capsys):
+        # the startup transition has no energy bound, so no slack is reported
+        config = write_config(
+            tmp_path,
+            """\
+            [problem]
+            kind = double_porosity
+            p = 2
+            m = 9
+
+            [scheme]
+            kind = three_level
+            sigma = 1.0
+            tau = 1.0
+            T = 1.0
+            """,
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+        assert "min slack=n/a" in capsys.readouterr().out.splitlines()
+
     def test_step_adjustment_is_logged(self, tmp_path, caplog):
         config = write_config(
             tmp_path,
@@ -560,6 +580,13 @@ class TestStabilityCommand:
         assert sorted(built) == [(0.5, 0.01), (0.5, 0.1), (1.0, 0.01), (1.0, 0.1)]
         _, rows = read_csv(tmp_path / "stability.csv")
         assert all(row[4] != "" for row in rows)
+
+    def test_three_level_sweep_needs_two_steps(self, tmp_path, capsys):
+        # one step runs only the uncertified startup transition
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("n_steps = 20", "n_steps = 1"))
+        assert main(["stability", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_steps" in err
 
     def test_sigma_range_validated_up_front(self, tmp_path, capsys):
         config = write_config(tmp_path, STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.5 2"))

@@ -6,6 +6,7 @@ from scipy.linalg import lapack
 
 from splitstep import (
     BlockDims,
+    build_coupled_diffusion,
     example_coupled_spec,
     lincomb,
     BlockOperator,
@@ -18,6 +19,7 @@ from splitstep import (
     SpdFactor,
     factor_spd,
     laplacian_1d,
+    prepare,
     run,
     solve_block_lower,
     solve_block_upper,
@@ -25,10 +27,11 @@ from splitstep import (
     triangular_split,
     zero_forcing,
 )
-from splitstep.blockops import DimensionMismatchError
+from splitstep import linsolve
+from splitstep.blockops import DimensionMismatchError, matvec
 from splitstep.linsolve import SPARSE_MIN_ORDER, BlockStructureError
 
-from helpers import random_block_diag_spd, random_dims, random_spd, random_vector
+from helpers import full_spec, random_block_diag_spd, random_dims, random_spd, random_vector
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -186,6 +189,79 @@ class TestTriangularSweeps:
 
 def _add(M, N):
     return lincomb(1.0, M, 1.0, N)
+
+
+def _sweep_operator(M, upper, keep):
+    """The block upper or lower triangle of M, off-diagonal block (a, c) kept where ``keep(a, c)``."""
+    inside = (lambda a, c: c >= a) if upper else (lambda a, c: c <= a)
+    return BlockOperator(M.dims, {(a, c): blk for (a, c), blk in M.blocks.items() if inside(a, c) and (a == c or keep(a, c))})
+
+
+class TestRowStrips:
+    """A sweep makes one product per block row, with the operator's row strip."""
+
+    def test_one_product_per_block_row(self, monkeypatch):
+        # full tables at p = 4: six blocks below the diagonal, three strips
+        prob = build_coupled_diffusion(full_spec(p=4, m=15))
+        ws = prepare(prob, SchemeConfig("factorized", sigma=0.5, tau=1 / 64, n_steps=1))
+        rhs = random_vector(np.random.default_rng(3), prob.dims)
+        calls = []
+
+        def counted(csr, x, real=linsolve.matvec):
+            calls.append(csr.shape)
+            return real(csr, x)
+
+        monkeypatch.setattr(linsolve, "matvec", counted)
+        for sweep, T in ((solve_block_lower, ws.lower), (solve_block_upper, ws.upper)):
+            assert len(T.blocks) == 10
+            calls.clear()
+            sweep(T, rhs, ws.diag)
+            assert len(calls) == 3
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("p", [5, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweeps_with_gaps_match_dense(self, seed, p, upper):
+        # block (a, c) kept at distance 1 or a multiple of 3, or in the first
+        # (upper: last) block column, so from p = 5 some row holds absent
+        # blocks between present ones, which the strip stores empty
+        rng = np.random.default_rng(10 * p + seed)
+        dims = random_dims(rng, p_choices=(p,))
+        end = p - 1 if upper else 0
+        T = _sweep_operator(random_spd(rng, dims), upper, lambda a, c: abs(a - c) in (1, 3, 6) or c == end)
+        held = [sum(dims.sizes[c] for r, c in T.blocks if r == a != c) for a in range(p)]
+        assert any(s is not None and s[1] - s[0] > n for s, n in zip(T.row_strips, held))
+        diag = DiagFactorization.from_operator(T)
+        rhs = random_vector(rng, dims)
+        x = (solve_block_upper if upper else solve_block_lower)(T, rhs, diag)
+        want = np.linalg.solve(T.to_dense(), rhs.to_flat())
+        np.testing.assert_allclose(x.to_flat(), want, rtol=0, atol=1e-11 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_one_block_per_row_is_the_per_block_formula(self, upper):
+        # each row's strip is its one block's CSR, so the sweep is
+        # x_a = D_a^{-1} (b_a - T_ac x_c) bit for bit
+        rng = np.random.default_rng(31)
+        dims = random_dims(rng, p_choices=(5,))
+        p, off = dims.p, dims.offsets
+        end = p - 1 if upper else 0
+        partner = {a: (a + 1 if upper else a - 1) if a % 2 else end for a in range(p) if a != end}
+        T = _sweep_operator(random_spd(rng, dims), upper, lambda a, c: partner.get(a) == c)
+        assert T.row_strips[end] is None
+        for a, c in partner.items():
+            start, stop, strip = T.row_strips[a]
+            assert (start, stop) == (off[c], off[c + 1]) and strip is T.block(a, c)
+        diag = DiagFactorization.from_operator(T)
+        rhs = random_vector(rng, dims)
+        b, want = rhs.to_flat(), np.zeros(dims.total)
+        for a in range(p - 1, -1, -1) if upper else range(p):
+            acc = b[off[a] : off[a + 1]]
+            if a in partner:
+                c = partner[a]
+                acc = acc - matvec(T.block(a, c), want[off[c] : off[c + 1]])
+            want[off[a] : off[a + 1]] = diag.solve_block(a, acc)
+        got = (solve_block_upper if upper else solve_block_lower)(T, rhs, diag)
+        np.testing.assert_array_equal(got.to_flat(), want)
 
 
 def _banded_spd(rng, n, kd, shift=1.0):

@@ -587,6 +587,23 @@ class TestSparseObservers:
         else:
             assert lam == pytest.approx(float(np.linalg.eigvalsh(dense_diff_weight(prob, cfg))[0]), rel=1e-9)
 
+    def test_unresolved_min_eig_settled_by_two_factorizations(self, monkeypatch):
+        # at m = 65535, tau = 1, R - delta I is indefinite and R + delta I is not,
+        # which settles `unresolved` with no bisection and no eigen-iteration
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=65_535))
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=1.0, n_steps=2)
+        obs = EnergyObserver()
+        obs.assemble(prob, cfg, prepare(prob, cfg))
+        factored = []
+
+        def counting(matrix, context="matrix", real=linsolve.factor_spd):
+            factored.append(context)
+            return real(matrix, context=context)
+
+        monkeypatch.setattr(verify, "factor_spd", counting)
+        assert obs.diff_weight_min_eig() is None
+        assert len(factored) <= 2
+
 
 class TestReferenceSolution:
     def test_requires_exponential_sum(self):
