@@ -9,8 +9,8 @@ whatever it was given as.  The schemes only ever invert the diagonal blocks,
 which is why the blockwise structure is kept explicit; everything that acts
 on the whole space (``apply``, norms, the symmetry defect) goes through one
 CSR matrix that each operator assembles once, while densification goes
-block by block.  Every per-step product goes through ``matvec``, scipy's
-compiled CSR kernel without the dispatch of ``@``, and every block built
+block by block.  Every product goes through a ``Product``, scipy's compiled
+CSR kernel bound once to its matrix (an operator keeps its own), and every block built
 from others (``lincomb``, the split halves) through ``_combine``, scipy's
 compiled sum kernel with one constructor per block.  Whether a matrix is
 solved dense or banded is ``linsolve.factor_spd``'s choice alone.
@@ -21,9 +21,10 @@ that succeeds, at every size.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -56,22 +57,29 @@ def _as_block(value, shape) -> sp.csr_array:
     return block
 
 
-def matvec(csr, x: np.ndarray) -> np.ndarray:
-    """``csr @ x`` for a float64 CSR matrix and a float64 vector, bit for bit.
+class Product:
+    """x -> M x for a float64 CSR matrix M, bit for bit ``M @ x``: ``csr_matvec`` of scipy's
+    private ``_sparsetools``, the kernel ``@`` ends in, bound once to M's arrays, here, where the
+    format is checked (about 1 us against 4-6 us for ``@`` at order 31).  The kernel reads ``x``
+    by column index unchecked, so its length is checked on every call."""
 
-    It calls the compiled kernel that ``@`` ends in, ``csr_matvec`` of scipy's
-    private ``_sparsetools``, without the checks and dispatch around it: about
-    1 us against 4-6 us for ``@`` at order 31.  The format and the length of
-    ``x`` are checked, since the kernel reads ``x`` by column index unchecked.
-    """
-    if csr.format != "csr":
-        raise TypeError(f"matvec needs a CSR matrix, got {csr.format}")
-    rows, cols = csr.shape
-    if x.shape != (cols,):
-        raise DimensionMismatchError(f"vector shape {x.shape} != ({cols},)")
-    out = np.zeros(rows)
-    _sparsetools.csr_matvec(rows, cols, csr.indptr, csr.indices, csr.data, x, out)
-    return out
+    def __init__(self, csr):
+        if csr.format != "csr":
+            raise TypeError(f"a product needs a CSR matrix, got {csr.format}")
+        self.matrix, (self._rows, self._cols) = csr, csr.shape
+        self._kernel = partial(_sparsetools.csr_matvec, self._rows, self._cols, csr.indptr, csr.indices, csr.data)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if len(x) != self._cols:
+            raise DimensionMismatchError(f"vector length {len(x)} != {self._cols}")
+        out = np.zeros(self._rows)
+        self._kernel(x, out)
+        return out
+
+
+def matvec(csr, x: np.ndarray) -> np.ndarray:
+    """``csr @ x``, bit for bit: a ``Product`` of ``csr`` made once."""
+    return Product(csr)(x)
 
 
 class _CsrParts(NamedTuple):
@@ -187,7 +195,7 @@ class BlockDims:
     def p(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.sizes)
 
@@ -323,7 +331,15 @@ class BlockOperator:
 
     def apply(self, x: BlockVector) -> BlockVector:
         _check_same_dims(self.dims, x.dims)
-        return BlockVector._own(self.dims, matvec(self._matrix, x.to_flat()))
+        return BlockVector._own(self.dims, self.product(x.to_flat()))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """M x for a flat float64 x, its length checked but not its dims, as ``apply`` makes it."""
+        return self._product(x)
+
+    @cached_property
+    def _product(self) -> Product:
+        return Product(self._matrix)
 
     def transpose(self) -> "BlockOperator":
         return BlockOperator(self.dims, {(b, a): blk.T for (a, b), blk in self.blocks.items()})
@@ -445,17 +461,18 @@ def weighted_norm(D: BlockOperator, x: BlockVector, d_x: Optional[BlockVector] =
     ``d_x`` is the product D x, when the caller already has it.  A quadratic
     form that comes out negative beyond rounding noise means the claimed
     definiteness of D is wrong, which is reported instead of silently
-    returning nan.
+    returning nan.  One that overflows is inf with no warning: ``np.vdot`` checks no FP flags.
     """
     if d_x is None:
         d_x = D.apply(x)
     else:
         _check_same_dims(D.dims, d_x.dims)
-    q = d_x.dot(x)
+        _check_same_dims(D.dims, x.dims)
+    q = float(np.vdot(d_x.to_flat(), x.to_flat()))
     # the scale, a second product, matters only to a negative form
     if q < 0.0 and q < -1e-12 * max(D.absmax() * max(x.dot(x), 1.0), 1e-300):
         raise CertificateError(f"quadratic form (Dx,x) = {q:.3e} negative for claimed-SPD operator")
-    return float(np.sqrt(max(q, 0.0)))
+    return math.sqrt(max(q, 0.0))
 
 
 def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator, shift: float = 0.0) -> BlockOperator:

@@ -119,7 +119,7 @@ def _parse_table(text: str, context: str) -> np.ndarray:
 
 
 def _load_ini(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")

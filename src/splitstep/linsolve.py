@@ -22,24 +22,25 @@ natural block order and a few p after the reordering, so a step costs O(N)
 once the factor exists; the diagonal blocks of the 1-D problems are
 tridiagonal.
 
-A sweep makes one product per block row, with the row strip its frozen
-operator settles once (``BlockOperator.row_strips``), by ``blockops.matvec``.
-
-The per-step solves skip LAPACK's scan of the right-hand side for non-finite
-values (``check_finite=False``); ``schemes.run`` checks every new level
-instead, and the full solve's backward-error test fails on a NaN residual.
+Solves go through kernels bound once: a factor called on a flat array runs its
+one LAPACK routine, and a sweep (``DiagFactorization.sweep``, bound and checked
+once per run) loops over rows of one ``blockops.Product`` with the row strip
+(``BlockOperator.row_strips``), one subtraction and one factor.  The public
+solves check the right-hand side and call the same kernels.  LAPACK's ``info``
+and the backward-error test run on every call; nothing scans for non-finite
+values, as ``schemes.run`` checks every new level and NaN fails the test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchError, matvec
+from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchError, Product, _check_same_dims
 
 # Matrices of this order and above are factored banded; smaller ones are
 # densified and factored dense, where band storage costs more in call
@@ -90,7 +91,7 @@ class SpdFactor:
     bandwidth of 0 or 1 it holds the LDL^T factor, D in row 0 and the
     subdiagonal of the unit L in row 1 (its last entry unused), and for a
     wider band the Cholesky factor in LAPACK lower band storage
-    (``bandwidth + 1`` rows).
+    (``bandwidth + 1`` rows).  Called, it solves with LAPACK's checks alone.
     """
 
     chol_lower: np.ndarray
@@ -101,16 +102,19 @@ class SpdFactor:
         rhs = np.asarray_chkfinite(rhs, dtype=float) if check_finite else np.asarray(rhs, dtype=float)
         if rhs.shape[:1] != self.chol_lower.shape[1:]:
             raise DimensionMismatchError(f"rhs length {rhs.shape[0]} != order {self.chol_lower.shape[1]}")
-        # the LAPACK routines directly: scipy's cho_solve wrapper costs more
-        # than the solve itself at the orders of the shipped problems
+        return self(rhs)
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        # the LAPACK routines directly, arguments positional: scipy's cho_solve
+        # wrapper costs more than the solve itself at the shipped orders
         if self.bandwidth is None:
-            x, info = lapack.dpotrs(self.chol_lower, rhs, lower=1)
+            x, info = lapack.dpotrs(self.chol_lower, rhs, 1)
         else:
             b = rhs if self.perm is None else rhs[self.perm]
             if self.bandwidth <= 1:
                 x, info = lapack.dpttrs(self.chol_lower[0], self.chol_lower[1, :-1], b)
             else:
-                x, info = lapack.dpbtrs(self.chol_lower, b, lower=1)
+                x, info = lapack.dpbtrs(self.chol_lower, b, 1)
             if self.perm is not None:
                 y, x = x, np.empty_like(x)
                 x[self.perm] = y
@@ -200,6 +204,7 @@ class DiagFactorization:
 
     dims: BlockDims
     factors: tuple[SpdFactor, ...]
+    _sweeps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_operator(cls, M: BlockOperator) -> "DiagFactorization":
@@ -213,43 +218,52 @@ class DiagFactorization:
             factors.append(factor_spd(blk, context=f"diagonal block ({a + 1},{a + 1})"))
         return cls(dims=M.dims, factors=tuple(factors))
 
-    def solve_block(self, a: int, rhs: np.ndarray) -> np.ndarray:
-        return self.factors[a].solve(rhs, check_finite=False)
+    def sweep(self, T: BlockOperator, descending: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """The sweep with T and these factors on flat arrays, bound on first use and kept
+        (an entry holds T, so no other operator takes its id)."""
+        held = self._sweeps.get((id(T), descending))
+        if held is None:
+            held = self._sweeps[(id(T), descending)] = (T, _bind_sweep(T, self, descending))
+        return held[1]
 
 
-def _substitute(T: BlockOperator, rhs: BlockVector, diag: DiagFactorization, descending: bool) -> BlockVector:
-    """Block substitution, components in ascending or descending order: each
-    component's right-hand side loses one product, its row strip times the
-    components already solved.  The factors must be those of T's components, one
-    per component, or a factor of the wrong order or a missing one would go unnoticed."""
-    if T.dims.sizes != rhs.dims.sizes:
-        raise DimensionMismatchError(f"dims {T.dims.sizes} != {rhs.dims.sizes}")
+def _bind_sweep(T: BlockOperator, diag: DiagFactorization, descending: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Block substitution, ascending for a block lower T, descending for an upper one:
+    each component's right-hand side loses one product, its row strip times the
+    components already solved.  T's structure, and that the factors are T's (or a wrong
+    or missing one would go unnoticed), are checked here, once."""
+    if not (T.is_block_upper() if descending else T.is_block_lower()):
+        wrong, kind = ("below", "upper") if descending else ("above", "lower")
+        raise BlockStructureError(f"operator has blocks {wrong} the diagonal, not {kind} triangular")
     if diag.dims.sizes != T.dims.sizes:
         raise DimensionMismatchError(f"diagonal factors for dims {diag.dims.sizes} != operator dims {T.dims.sizes}")
-    off = T.dims.offsets
-    b = rhs.to_flat()
-    x = np.empty_like(b)
+    off, n, rows = T.dims.offsets, T.dims.total, []
     for a in range(T.dims.p - 1, -1, -1) if descending else range(T.dims.p):
-        acc = b[off[a] : off[a + 1]]
-        if T.row_strips[a] is not None:
-            start, stop, strip = T.row_strips[a]
-            acc = acc - matvec(strip, x[start:stop])
-        x[off[a] : off[a + 1]] = diag.solve_block(a, acc)
-    return BlockVector._own(T.dims, x)
+        start, stop, strip = T.row_strips[a] or (0, 0, None)
+        rows.append((off[a], off[a + 1], start, stop, None if strip is None else Product(strip), diag.factors[a]))
+
+    def sweep(b: np.ndarray) -> np.ndarray:
+        x = np.empty(n)
+        for lo, hi, start, stop, product, solve in rows:
+            acc = b[lo:hi]
+            if product is not None:
+                acc = acc - product(x[start:stop])
+            x[lo:hi] = solve(acc)
+        return x
+
+    return sweep
 
 
 def solve_block_lower(L: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Forward substitution for a block lower triangular operator."""
-    if not L.is_block_lower():
-        raise BlockStructureError("operator has blocks above the diagonal, not lower triangular")
-    return _substitute(L, rhs, diag, descending=False)
+    _check_same_dims(L.dims, rhs.dims)
+    return BlockVector._own(L.dims, diag.sweep(L, False)(rhs.to_flat()))
 
 
 def solve_block_upper(U: BlockOperator, rhs: BlockVector, diag: DiagFactorization) -> BlockVector:
     """Backward substitution for a block upper triangular operator."""
-    if not U.is_block_upper():
-        raise BlockStructureError("operator has blocks below the diagonal, not upper triangular")
-    return _substitute(U, rhs, diag, descending=True)
+    _check_same_dims(U.dims, rhs.dims)
+    return BlockVector._own(U.dims, diag.sweep(U, True)(rhs.to_flat()))
 
 
 def solve_spd_full(M: BlockOperator, rhs: BlockVector, factor: SpdFactor) -> BlockVector:
@@ -260,17 +274,17 @@ def solve_spd_full(M: BlockOperator, rhs: BlockVector, factor: SpdFactor) -> Blo
     the norm the frozen operator caches.  Otherwise, or if the residual is
     not a number, it raises rather than returning a quietly wrong vector.
     """
-    if M.dims.sizes != rhs.dims.sizes:
-        raise DimensionMismatchError(f"dims {M.dims.sizes} != {rhs.dims.sizes}")
+    _check_same_dims(M.dims, rhs.dims)
     b = rhs.to_flat()
-    out = BlockVector._own(M.dims, factor.solve(b, check_finite=False))
-    x = out.to_flat()
+    if factor.chol_lower.shape[1] != b.shape[0]:
+        raise DimensionMismatchError(f"rhs length {b.shape[0]} != order {factor.chol_lower.shape[1]}")
+    x = factor(b)
     # measure against the operator, not the factor, so a stale or mismatched
     # factorization is caught and not just LAPACK breakage
-    residual = float(np.abs(M.apply(out).to_flat() - b).max())
+    residual = float(np.abs(M.product(x) - b).max())
     bound = _BACKWARD_TOL * (M.norm_inf() * float(np.abs(x).max()) + float(np.abs(b).max()))
     if not residual <= bound:
         raise SolveFailureError(
             f"full solve residual {residual:.3e} exceeds {_BACKWARD_TOL:.1e} * (|M| |x| + |rhs|) = {bound:.3e}"
         )
-    return out
+    return BlockVector._own(M.dims, x)

@@ -12,11 +12,13 @@ Three schemes share one state/transition interface:
   from triangular splits of both A and B with a regularization weight
   epsilon on the diagonal.  Again only diagonal blocks are inverted.
 
-All transitions sample the forcing at t = (n + sigma) * tau.
+All transitions sample the forcing at t = (n + sigma) * tau, and do their
+arithmetic on flat arrays through the products and solves ``prepare`` binds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -166,8 +168,8 @@ class SchemeState:
 
     ``y_prev`` is carried only by the three-level scheme from level 1 on.
     ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``run`` has
-    measured them: every state that ``run`` hands its observers and its step
-    functions carries both, the step functions' own results do not.  A step
+    measured them: a step function's result carries neither until ``run``
+    attaches both, before its observers or the next step see it.  A step
     reuses ``a_y`` for its residual instead of applying A again; given a
     state without it (the level 0 of ``three_level_init``, the levels of
     ``verify.tiny_step_reference``), it applies A itself.
@@ -235,6 +237,8 @@ def _prepare_factorized(problem: EvolutionProblem, cfg: SchemeConfig) -> Factori
     upper = lincomb(1.0, problem.B, st, split.upper)
     # lower and upper share identical diagonal blocks B_a + (sigma*tau/2) A_aa
     diag = DiagFactorization.from_operator(lower)
+    diag.sweep(lower, False)  # both sweeps bound, and checked, here
+    diag.sweep(upper, True)
     return FactorizedWorkspace(lower, upper, diag)
 
 
@@ -245,6 +249,8 @@ def _prepare_three_level(problem: EvolutionProblem, cfg: SchemeConfig) -> ThreeL
     c1_plus = lincomb(1.0, b_split.lower, st, a_split.lower, shift=cfg.epsilon)
     c2_plus = lincomb(1.0, b_split.upper, st, a_split.upper, shift=cfg.epsilon)
     diag = DiagFactorization.from_operator(c1_plus)
+    diag.sweep(c1_plus, False)  # both sweeps bound, and checked, here
+    diag.sweep(c2_plus, True)
     return ThreeLevelWorkspace(c1_plus, c2_plus, diag, _prepare_weighted(problem, cfg))
 
 
@@ -258,7 +264,7 @@ def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
 
 
 # The steps do their vector arithmetic on the flat arrays of their states and
-# make a BlockVector only for a call that takes one and for the new level.
+# make a BlockVector only for a solve, which takes one, and for the new level.
 
 
 def _residual_rhs(problem: EvolutionProblem, cfg: SchemeConfig, state: SchemeState, phi) -> np.ndarray:
@@ -337,12 +343,11 @@ def three_level_step(
     """
     if state.y_prev is None:
         raise ValueError("three_level_step needs the previous level; run three_level_init first")
-    dims = problem.dims
+    c = workspace.startup.shifted
     y = state.y.to_flat()
     diff = y - state.y_prev.to_flat()
-    c_diff = workspace.startup.shifted.apply(BlockVector._own(dims, diff)).to_flat()
-    g = (2.0 * cfg.epsilon) * (_residual_rhs(problem, cfg, state, phi) - c_diff)
-    half = solve_block_lower(workspace.c1_plus, BlockVector._own(dims, g), workspace.diag)
+    g = (2.0 * cfg.epsilon) * (_residual_rhs(problem, cfg, state, phi) - c.product(diff))
+    half = solve_block_lower(workspace.c1_plus, BlockVector._own(c.dims, g), workspace.diag)
     dy = solve_block_upper(workspace.c2_plus, half, workspace.diag)
     return _advanced(cfg, state, y + diff + dy.to_flat(), y_prev=state.y)
 
@@ -385,15 +390,11 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class RunLog:
+    """``states`` is None under ``keep_states=False``; ``final_state`` is kept either way."""
     config: SchemeConfig
     records: tuple[RunRecord, ...]
     states: Optional[tuple[BlockVector, ...]]
-
-    @property
-    def final_state(self) -> BlockVector:
-        if self.states is not None:
-            return self.states[-1]
-        raise ValueError("run was executed with keep_states=False")
+    final_state: BlockVector
 
 
 class RunStepError(RuntimeError):
@@ -426,26 +427,27 @@ def run(
     states: list[BlockVector] = []
 
     def measured(state: SchemeState) -> SchemeState:
-        """The level with A y and its A-norm attached; the divergence guard.
+        """The level with A y and its A-norm attached to its state, run's own; the divergence guard.
 
-        The one product with A per level: the next transition's residual
-        reuses it.  The per-step solves do not scan their inputs.  A has a
-        positive diagonal, so a non-finite entry gives a non-finite norm,
-        and so does a finite level too large for (Ay, y) to be represented:
-        either way the run stops at the level, the initial one included,
-        before any observer or transition sees it.
+        The one product with A per level, on the flat level: the next
+        transition's residual reuses it.  The solves do not scan their
+        inputs.  A has a positive diagonal, so a non-finite entry gives a
+        non-finite norm, and so does a finite level too large for (Ay, y) to be
+        represented: either way the run stops at the level, the initial one
+        included, before any observer or transition sees it, with no warning.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_y = problem.A.apply(state.y)
-            norm_a = weighted_norm(problem.A, state.y, a_y)
-        if not np.isfinite(norm_a):
+        a_y = BlockVector._own(state.y.dims, problem.A.product(state.y.to_flat()))
+        norm_a = weighted_norm(problem.A, state.y, a_y)
+        if not math.isfinite(norm_a):
             if state.n == 0:
                 raise RunStepError(f"initial level v0 is not finite (A-norm {norm_a})", step=0)
             raise RunStepError(
                 f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
                 step=state.n - 1,
             )
-        return SchemeState(state.n, state.t, state.y, state.y_prev, norm_a, a_y)
+        object.__setattr__(state, "norm_a", norm_a)
+        object.__setattr__(state, "a_y", a_y)
+        return state
 
     def record(state: SchemeState, extras: dict):
         records.append(RunRecord(state.n, state.t, state.norm_a, extras))
@@ -480,4 +482,4 @@ def run(
             extras.update(obs.transition(problem, cfg, state, new, phi))
         record(new, extras)
         state = new
-    return RunLog(cfg, tuple(records), tuple(states) if keep_states else None)
+    return RunLog(cfg, tuple(records), tuple(states) if keep_states else None, state.y)

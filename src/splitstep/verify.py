@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import BlockOperator, BlockVector, CertificateError, matvec, weighted_norm
+from .blockops import BlockOperator, BlockVector, CertificateError, weighted_norm
 from .linsolve import (
-    SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd, solve_block_lower
+    SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
 )
 from .schemes import (
     EvolutionProblem,
@@ -84,13 +84,11 @@ def _factorized_weight(
     P = S B^{-1} S^T.  Assembled at N = 131070, the entries of sigma^2 tau^2 A1 B^{-1} A2
     (about 1e14) would drown those of B.  A curvature (d, W d) <= 0 raises ``NotPositiveDefiniteError``.
     """
-    # the operators' own cached matrices: read here, never written
-    s, s_t, a = ws.lower._matrix, ws.upper._matrix, problem.A._matrix
-    b_factors = DiagFactorization.from_operator(problem.B)
+    s, s_t, a = ws.lower.product, ws.upper.product, problem.A.product
+    b_inverse = DiagFactorization.from_operator(problem.B).sweep(problem.B, descending=False)
 
     def apply_w(x):
-        y = solve_block_lower(problem.B, BlockVector._own(problem.dims, matvec(s_t, x)), b_factors)
-        return matvec(s, y.to_flat()) - (0.5 * cfg.tau) * matvec(a, x)
+        return s(b_inverse(s_t(x))) - (0.5 * cfg.tau) * a(x)
 
     def precondition(r):
         return _factorized_solve(problem.B, ws, BlockVector._own(problem.dims, r)).to_flat()
@@ -229,8 +227,7 @@ class EnergyObserver(_LevelObserver):
             raise ValueError(f"three-level estimate does not apply to kind {cfg.kind.value!r}")
         self.prepared(problem, cfg, workspace)
         startup = workspace.startup
-        c = startup.shifted._matrix
-        self._solve_forcing(startup.factor.solve, lambda x: matvec(c, x))
+        self._solve_forcing(startup.factor.solve, startup.shifted.product)
 
     def energy(self, state: SchemeState) -> float:
         """E_n of the pair (y^n, y^{n-1}) as (A y^n, y^{n-1}) + (tau/(2 eps)) (||C2 r||^2 + eps^2 ||r||^2),
@@ -239,11 +236,11 @@ class EnergyObserver(_LevelObserver):
         state (applied afresh for a bare one), and C2 r = (C2 + eps E) r - eps r."""
         if state.y_prev is None:
             raise ValueError("three-level energy needs a state carrying its previous level")
-        tau, eps = self._cfg.tau, self._cfg.epsilon
+        c2_plus, tau, eps = self._workspace.c2_plus, self._cfg.tau, self._cfg.epsilon
         a_y = self._problem.A.apply(state.y) if state.a_y is None else state.a_y
         y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
         rate = (y - y_prev) / tau
-        c2_rate = matvec(self._workspace.c2_plus._matrix, rate) - eps * rate
+        c2_rate = c2_plus.product(rate) - eps * rate
         squares = float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate)
         return float(a_y.to_flat() @ y_prev) + (tau / (2.0 * eps)) * squares
 
@@ -458,7 +455,7 @@ def convergence_study(
     prev_tau = prev_err = None
     for tau in taus:
         n = steps_for(problem.T, tau)
-        log = run(problem, replace(cfg_base, tau=tau, n_steps=n), keep_states=True)
+        log = run(problem, replace(cfg_base, tau=tau, n_steps=n), keep_states=False)
         err = weighted_norm(problem.A, log.final_state - reference)
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:

@@ -887,3 +887,18 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run.csv").exists()
+
+
+def test_spaced_table_row_separator_is_not_a_comment(tmp_path):
+    # " ;" once started an inline comment, so the second row of b was lost and
+    # the spaced table failed as "b must be 2x2, got shape (1, 2)"
+    shipped = SHIPPED_CONFIGS / "stability_three_level.ini"
+    text = shipped.read_text(encoding="utf-8")
+    assert "b = 1 0.2; 0.2 0.5" in text
+    spaced = tmp_path / "spaced.ini"
+    spaced.write_text(text.replace("b = 1 0.2; 0.2 0.5", "b = 1 0.2 ; 0.2 0.5"), encoding="utf-8")
+    want = cli.build_problem(cli._load_ini(str(shipped)), str(shipped.parent))
+    got = cli.build_problem(cli._load_ini(str(spaced)), str(tmp_path))
+    for name in ("A", "B"):
+        np.testing.assert_array_equal(getattr(got, name).to_dense(), getattr(want, name).to_dense())
+    np.testing.assert_array_equal(got.v0.to_flat(), want.v0.to_flat())

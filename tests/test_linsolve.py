@@ -27,8 +27,7 @@ from splitstep import (
     triangular_split,
     zero_forcing,
 )
-from splitstep import linsolve
-from splitstep.blockops import DimensionMismatchError, matvec
+from splitstep.blockops import DimensionMismatchError, Product, matvec
 from splitstep.linsolve import SPARSE_MIN_ORDER, BlockStructureError
 
 from helpers import full_spec, random_block_diag_spd, random_dims, random_spd, random_vector
@@ -98,7 +97,7 @@ class TestDiagFactorization:
         diag = DiagFactorization.from_operator(B)
         for a in range(dims.p):
             rhs = rng.standard_normal(dims.sizes[a])
-            x = diag.solve_block(a, rhs)
+            x = diag.factors[a].solve(rhs)
             np.testing.assert_allclose(B.block(a, a) @ x, rhs, rtol=0, atol=1e-10)
 
     def test_missing_diagonal_block(self):
@@ -207,11 +206,11 @@ class TestRowStrips:
         rhs = random_vector(np.random.default_rng(3), prob.dims)
         calls = []
 
-        def counted(csr, x, real=linsolve.matvec):
-            calls.append(csr.shape)
-            return real(csr, x)
+        def counted(product, x, real=Product.__call__):
+            calls.append(product.matrix.shape)
+            return real(product, x)
 
-        monkeypatch.setattr(linsolve, "matvec", counted)
+        monkeypatch.setattr(Product, "__call__", counted)
         for sweep, T in ((solve_block_lower, ws.lower), (solve_block_upper, ws.upper)):
             assert len(T.blocks) == 10
             calls.clear()
@@ -259,7 +258,7 @@ class TestRowStrips:
             if a in partner:
                 c = partner[a]
                 acc = acc - matvec(T.block(a, c), want[off[c] : off[c + 1]])
-            want[off[a] : off[a + 1]] = diag.solve_block(a, acc)
+            want[off[a] : off[a + 1]] = diag.factors[a].solve(acc)
         got = (solve_block_upper if upper else solve_block_lower)(T, rhs, diag)
         np.testing.assert_array_equal(got.to_flat(), want)
 

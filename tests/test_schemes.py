@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from scipy.linalg import lapack
 
 from splitstep import (
     BlockDims,
     BlockOperator,
     BlockVector,
+    EnergyObserver,
+    EstimateObserver,
     EvolutionProblem,
     ExponentialSumForcing,
     RunObserver,
@@ -316,13 +319,13 @@ class TestThreeLevelScheme:
         state = replace(init, a_y=prob.A.apply(init.y))
         phi = forcing_sample(prob, cfg, 1)
         applied = []
-        real_apply = BlockOperator.apply
+        real_product = BlockOperator.product
 
-        def counting_apply(self, x):
+        def counting_product(self, x):
             applied.append(self)
-            return real_apply(self, x)
+            return real_product(self, x)
 
-        monkeypatch.setattr(BlockOperator, "apply", counting_apply)
+        monkeypatch.setattr(BlockOperator, "product", counting_product)
         three_level_step(prob, cfg, state, ws, phi)
         assert applied == [ws.startup.shifted]
 
@@ -439,14 +442,14 @@ class TestRun:
             bare.append(state.y)
 
         products = []
-        real_apply = BlockOperator.apply
+        real_product = BlockOperator.product
 
-        def counting_apply(self, x):
+        def counting_product(self, x):
             if self is prob.A:
                 products.append(x)
-            return real_apply(self, x)
+            return real_product(self, x)
 
-        monkeypatch.setattr(BlockOperator, "apply", counting_apply)
+        monkeypatch.setattr(BlockOperator, "product", counting_product)
         log = run(prob, cfg)
         startup = 1 if kind == "three_level" else 0
         assert len(products) == cfg.n_steps + 1 + startup
@@ -455,13 +458,13 @@ class TestRun:
             np.testing.assert_array_equal(got.to_flat(), want.to_flat())
 
     def test_discarded_states(self):
-        rng = np.random.default_rng(8)
-        prob = random_problem(rng)
-        cfg = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=2)
-        log = run(prob, cfg, keep_states=False)
-        assert log.states is None
-        with pytest.raises(ValueError, match="keep_states"):
-            log.final_state
+        # without the levels the log still holds the last one, bit for bit the kept one
+        prob = random_problem(np.random.default_rng(8))
+        for kind, sigma in (("weighted", 0.5), ("factorized", 0.5), ("three_level", 1.0)):
+            cfg = SchemeConfig(kind, sigma=sigma, tau=0.1, n_steps=3)
+            log = run(prob, cfg, keep_states=False)
+            assert log.states is None
+            np.testing.assert_array_equal(log.final_state.to_flat(), run(prob, cfg).final_state.to_flat())
 
     def test_step_failure_carries_index(self, monkeypatch):
         import splitstep.schemes as schemes_mod
@@ -612,3 +615,107 @@ class TestDivergenceGuard:
         assert abs(step - dense_step) <= 1
         assert "infs or NaNs" not in str(exc_info.value)
         assert "non-finite level" in str(exc_info.value)
+
+
+def _written_out_solve(factor, rhs):
+    """A factor's solve written out: its LAPACK routine called directly, with keywords."""
+    if factor.bandwidth is None:
+        x, info = lapack.dpotrs(factor.chol_lower, rhs, lower=1)
+    else:
+        b = rhs if factor.perm is None else rhs[factor.perm]
+        if factor.bandwidth <= 1:
+            x, info = lapack.dpttrs(factor.chol_lower[0], factor.chol_lower[1, :-1], b)
+        else:
+            x, info = lapack.dpbtrs(factor.chol_lower, b, lower=1)
+        if factor.perm is not None:
+            y, x = x, np.empty_like(x)
+            x[factor.perm] = y
+    assert info == 0
+    return x
+
+
+def _written_out_sweep(T, diag, b, descending):
+    """Block substitution row by row: one product with the row strip, one solve."""
+    off, x = T.dims.offsets, np.empty_like(b)
+    for a in range(T.dims.p - 1, -1, -1) if descending else range(T.dims.p):
+        acc = b[off[a] : off[a + 1]]
+        if T.row_strips[a] is not None:
+            start, stop, strip = T.row_strips[a]
+            acc = acc - strip @ x[start:stop]
+        x[off[a] : off[a + 1]] = _written_out_solve(diag.factors[a], acc)
+    return x
+
+
+def _written_out_full_solve(M, factor, b):
+    """The weighted scheme's solve with its 1e-11 backward-error test."""
+    x = _written_out_solve(factor, b)
+    residual = float(np.abs(M.to_sparse() @ x - b).max())
+    assert residual <= 1e-11 * (M.norm_inf() * float(np.abs(x).max()) + float(np.abs(b).max()))
+    return x
+
+
+class TestWrittenOutArithmetic:
+    """``run`` against its per-level arithmetic written out with scipy's ``@`` and
+    direct LAPACK calls: every level, A-norm and observer slack, bit for bit."""
+
+    @pytest.mark.parametrize("p, m", [(2, 31), (4, 255)])
+    @pytest.mark.parametrize("kind, sigma", [("weighted", 0.5), ("factorized", 0.5), ("three_level", 1.0)])
+    def test_run_reproduces_every_level(self, kind, sigma, p, m):
+        spec = (example_porosity_spec if kind == "three_level" else example_coupled_spec)(p=p, m=m)
+        prob = manufactured_problem(spec).problem
+        cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=5)
+        ws = prepare(prob, cfg)
+        weighted = ws.startup if kind == "three_level" else ws
+        # the dense LAPACK path at N = 62, the banded one (LDL^T blocks, reordered C) at N = 1020
+        banded = m >= SPARSE_MIN_ORDER
+        if kind != "factorized":
+            assert (weighted.factor.bandwidth is not None) == banded
+        if kind != "weighted":
+            assert all((f.bandwidth is not None) == banded for f in ws.diag.factors)
+        observer = EnergyObserver() if kind == "three_level" else EstimateObserver()
+        log = run(prob, cfg, observers=(observer,))
+
+        a, b = prob.A.to_sparse(), prob.B.to_sparse()
+        tau, eps = cfg.tau, cfg.epsilon
+
+        def phi(n):
+            return prob.forcing((n + sigma) * tau).to_flat()
+
+        def norm(y):
+            return float(np.sqrt(max(float((a @ y) @ y), 0.0)))
+
+        def energy(y, y_prev):
+            rate = (y - y_prev) / tau
+            c2_rate = ws.c2_plus.to_sparse() @ rate - eps * rate
+            squares = float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate)
+            return float((a @ y) @ y_prev) + (tau / (2.0 * eps)) * squares
+
+        levels = [prob.v0.to_flat()]
+        if kind == "three_level":
+            dy = _written_out_full_solve(weighted.shifted, weighted.factor, tau * (phi(0) - a @ levels[0]))
+            levels.append(levels[0] + dy)
+        while len(levels) <= cfg.n_steps:
+            n, y = len(levels) - 1, levels[-1]
+            g = tau * (phi(n) - a @ y)
+            if kind == "weighted":
+                levels.append(y + _written_out_full_solve(ws.shifted, ws.factor, g))
+            elif kind == "factorized":
+                w = _written_out_sweep(ws.lower, ws.diag, g, descending=False)
+                levels.append(y + _written_out_sweep(ws.upper, ws.diag, b @ w, descending=True))
+            else:
+                diff = y - levels[-2]
+                g = (2.0 * eps) * (g - ws.startup.shifted.to_sparse() @ diff)
+                half = _written_out_sweep(ws.c1_plus, ws.diag, g, descending=False)
+                levels.append(y + diff + _written_out_sweep(ws.c2_plus, ws.diag, half, descending=True))
+
+        assert len(log.states) == len(levels)
+        for got, want, rec in zip(log.states, levels, log.records):
+            np.testing.assert_array_equal(got.to_flat(), want)
+            assert rec.norm_a == norm(want)
+        first = 1 if kind == "three_level" else 0
+        for n in range(first, cfg.n_steps):
+            if kind == "three_level":
+                before, after = energy(levels[n], levels[n - 1]), energy(levels[n + 1], levels[n])
+            else:
+                before, after = norm(levels[n]) ** 2, norm(levels[n + 1]) ** 2
+            assert log.records[n + 1].extras["slack"] == (before + observer.forcing_term(n)) - after

@@ -335,7 +335,7 @@ def test_transitions_make_no_solve(monkeypatch, kind, sigma, diag_b):
 
         return wrapper
 
-    monkeypatch.setattr(SpdFactor, "solve", counted("solve", SpdFactor.solve))
+    monkeypatch.setattr(SpdFactor, "__call__", counted("solve", SpdFactor.__call__))
     for module in (linsolve, schemes, verify):
         for name in ("solve_block_lower", "solve_block_upper"):
             if hasattr(module, name):
@@ -823,3 +823,18 @@ class DiffusionSpecFactory:
             r=np.diag([0.3, 0.4]),
             b=np.diag([1.0, 1.25]),
         )
+
+
+def test_convergence_study_keeps_no_states(monkeypatch):
+    # each rung reads only its run's last level, so no run keeps the others
+    prob = manufactured_problem(example_coupled_spec(p=2, m=9)).problem
+    asked, real_run = [], verify.run
+
+    def recording_run(*args, **kwargs):
+        asked.append(kwargs.get("keep_states", True))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run", recording_run)
+    report = convergence_study(prob, SchemeConfig("weighted", sigma=0.5, tau=0.25, n_steps=4), [0.25, 0.125])
+    assert asked == [False, False]
+    assert report.rows[-1].error_a > 0.0 and 1.8 < report.rows[-1].order < 2.2
