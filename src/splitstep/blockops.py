@@ -77,11 +77,6 @@ class Product:
         return out
 
 
-def matvec(csr, x: np.ndarray) -> np.ndarray:
-    """``csr @ x``, bit for bit: a ``Product`` of ``csr`` made once."""
-    return Product(csr)(x)
-
-
 class _CsrParts(NamedTuple):
     """The three arrays of a CSR matrix, without a matrix object around them."""
 

@@ -8,11 +8,15 @@ Four subcommands, each driven by an INI config file:
 * ``compare``: weighted versus factorized trajectory gap per step size.
 
 Exit code 0 means every asserted check passed, 1 means a check failed or a
-run broke down, 2 means the configuration or problem data were invalid.
-A run that breaks down (``RunStepError``, ``SolveFailureError``, or a
-``NotPositiveDefiniteError`` from factoring an operator that is positive
-definite in exact arithmetic) ends the command with one ``error:`` line,
-except in ``stability``, which marks the cell ``fail`` and goes on.  The
+run broke down, 2 means the configuration or problem data were invalid;
+``main``'s two exception tuples are that policy.  A run that breaks down
+(``RunStepError``, ``SolveFailureError``, or a ``NotPositiveDefiniteError``
+from factoring an operator that is positive definite in exact arithmetic)
+ends the command with one ``error:`` line, except in ``stability``, which
+marks the cell ``fail`` and goes on.  Every other error ``main`` lists ends
+it with one ``config error:`` line; a ``ValueError`` from building the
+problem becomes one in ``build_problem`` alone.  Each subcommand reads its
+whole config, the output path included, before its first transition.  The
 sweep runs its cells one after another.
 """
 
@@ -150,44 +154,46 @@ def _diffusion_spec(cp, kind: str) -> DiffusionSpec:
         text = _get(cp, "problem", key)
         if text:
             tables[key] = _parse_table(text, f"[problem] {key}")
-    try:
-        base = example_porosity_spec(p, m) if kind == "double_porosity" else example_coupled_spec(p, m)
-        return replace(base, **tables)
-    except ValueError as err:
-        raise ConfigError(f"[problem]: {err}") from err
+    base = example_porosity_spec(p, m) if kind == "double_porosity" else example_coupled_spec(p, m)
+    return replace(base, **tables)
 
 
 def build_problem(cp, config_dir: str) -> EvolutionProblem:
     """Assemble the evolution problem described by the [problem] section.
 
-    The horizon T lives in [scheme] next to the step parameters.
+    The horizon T lives in [scheme] next to the step parameters.  This is the
+    one place where an error in building the problem becomes a config error:
+    a ``ValueError`` from the tables, the builders or the problem's own checks
+    reads ``[problem]: ...``, while a ``ConfigError`` and a ``CertificateError``
+    (which names its operator) pass as they are.
     """
-    kind = _require(cp, "problem", "kind").strip()
-    T = _parse_number(_get(cp, "scheme", "t", "1.0"), "[scheme] T")
-    if T <= 0.0:
-        raise ConfigError(f"[scheme] T={T} must be positive")
-    if kind in ("coupled_diffusion", "double_porosity"):
-        spec = _diffusion_spec(cp, kind)
-        if kind == "coupled_diffusion" and not spec.b_is_diagonal():
-            raise ConfigError("[problem] kind=coupled_diffusion requires a diagonal b table")
-        if kind == "double_porosity" and spec.b_is_diagonal():
-            raise ConfigError("[problem] kind=double_porosity requires off-diagonal b entries")
-        try:
+    try:
+        kind = _require(cp, "problem", "kind").strip()
+        T = _parse_number(_get(cp, "scheme", "t", "1.0"), "[scheme] T")
+        if T <= 0.0:
+            raise ConfigError(f"[scheme] T={T} must be positive")
+        if kind in ("coupled_diffusion", "double_porosity"):
+            spec = _diffusion_spec(cp, kind)
+            if kind == "coupled_diffusion" and not spec.b_is_diagonal():
+                raise ConfigError("[problem] kind=coupled_diffusion requires a diagonal b table")
+            if kind == "double_porosity" and spec.b_is_diagonal():
+                raise ConfigError("[problem] kind=double_porosity requires off-diagonal b entries")
             return build_coupled_diffusion(spec, T=T)
-        except ValueError as err:
-            raise ConfigError(f"[problem]: {err}") from err
-    if kind == "manufactured":
-        spec = _diffusion_spec(cp, kind)
-        amplitudes = None
-        if _get(cp, "problem", "c") is not None:
-            amplitudes = np.asarray(_parse_numbers(_get(cp, "problem", "c"), "[problem] c"))
-        return manufactured_problem(spec, amplitudes=amplitudes, T=T).problem
-    if kind == "matrix_files":
-        return _matrix_files_problem(cp, config_dir, T)
-    raise ConfigError(
-        f"[problem] kind={kind!r} unknown; expected coupled_diffusion, double_porosity, "
-        "manufactured, or matrix_files"
-    )
+        if kind == "manufactured":
+            spec = _diffusion_spec(cp, kind)
+            c = _get(cp, "problem", "c")
+            amplitudes = None if c is None else np.asarray(_parse_numbers(c, "[problem] c"))
+            return manufactured_problem(spec, amplitudes=amplitudes, T=T).problem
+        if kind == "matrix_files":
+            return _matrix_files_problem(cp, config_dir, T)
+        raise ConfigError(
+            f"[problem] kind={kind!r} unknown; expected coupled_diffusion, double_porosity, "
+            "manufactured, or matrix_files"
+        )
+    except (ConfigError, CertificateError):
+        raise
+    except ValueError as err:
+        raise ConfigError(f"[problem]: {err}") from err
 
 
 def _resolve(config_dir: str, path: str) -> str:
@@ -269,15 +275,13 @@ def _make_config(kind: SchemeKind, sigma: float, tau: float, n_steps: int, epsil
 
 
 def _out_path(args, cp, default_name: str) -> str:
-    name = _get(cp, "output", "csv", default_name) if cp.has_section("output") else default_name
+    name = _get(cp, "output", "csv", default_name)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
 
 def _checks_enabled(cp) -> bool:
-    if not cp.has_section("output"):
-        return True
     mode = (_get(cp, "output", "checks", "auto") or "auto").strip()
     if mode not in ("auto", "none"):
         raise ConfigError(f"[output] checks={mode!r} unknown; expected auto or none")
@@ -315,13 +319,13 @@ def cmd_run(args, cp, config_dir: str) -> int:
             observer = EnergyObserver()
         elif cfg.in_hypothesis:
             observer = EstimateObserver()
+    path = _out_path(args, cp, "run.csv")
     log = run(problem, cfg, observers=(observer,) if observer else (), keep_states=False)
 
     rows = [
         [rec.n, rec.t, rec.norm_a, rec.extras.get("energy"), rec.extras.get("slack")]
         for rec in log.records
     ]
-    path = _out_path(args, cp, "run.csv")
     _write_csv(path, ["step", "t", "norm_A", "energy_E", "thm_slack"], rows)
 
     final = log.records[-1]
@@ -365,13 +369,10 @@ def cmd_converge(args, cp, config_dir: str) -> int:
     sigma, epsilon = _scheme_scalars(cp)
     taus = _ladder_taus(cp, problem.T)
     base = _make_config(kind, sigma, max(taus), 1, epsilon)
-    try:
-        report = convergence_study(problem, base, taus)
-    except SchemeInapplicableError as err:
-        raise ConfigError(f"[problem]: {err}") from err
+    path = _out_path(args, cp, "converge.csv")
+    report = convergence_study(problem, base, taus)
 
     rows = [[row.tau, row.error_a, row.order] for row in report.rows]
-    path = _out_path(args, cp, "converge.csv")
     _write_csv(path, ["tau", "error_A", "observed_order"], rows)
 
     window = _expected_window(kind, sigma)
@@ -436,6 +437,7 @@ def cmd_stability(args, cp, config_dir: str) -> int:
         except ValueError as err:
             raise ConfigError(f"[scheme]: {err}") from err
 
+    path = _out_path(args, cp, "stability.csv")
     rows = []
     any_fail = False
     for cfg in cells:
@@ -446,7 +448,6 @@ def cmd_stability(args, cp, config_dir: str) -> int:
         any_fail = any_fail or status == "fail"
         shown = _fmt(min_slack) or "n/a"
         _say(args, f"sigma={cfg.sigma:g} tau={cfg.tau:g} min_slack={shown} status={status}")
-    path = _out_path(args, cp, "stability.csv")
     _write_csv(path, ["sigma", "tau", "scheme", "min_slack", "r_min_eig"], rows)
     _say(args, f"wrote {path}")
     return 1 if any_fail else 0
@@ -457,17 +458,14 @@ def cmd_compare(args, cp, config_dir: str) -> int:
     sigma, epsilon = _scheme_scalars(cp)
     taus = _ladder_taus(cp, problem.T)
     base = _make_config(SchemeKind.WEIGHTED, sigma, max(taus), 1, epsilon)
-    try:
-        report = compare_schemes(problem, base, taus)
-    except SchemeInapplicableError as err:
-        raise ConfigError(f"[problem]: {err}") from err
+    path = _out_path(args, cp, "compare.csv")
+    report = compare_schemes(problem, base, taus)
 
     ratios = (None,) + report.max_diff_ratios
     rows = [
         [row.tau, row.n_steps, row.max_diff_a, row.final_diff_a, ratio]
         for row, ratio in zip(report.rows, ratios)
     ]
-    path = _out_path(args, cp, "compare.csv")
     _write_csv(path, ["tau", "n_steps", "max_diff_a", "final_diff_a", "ratio"], rows)
 
     for row, ratio in zip(report.rows, ratios):

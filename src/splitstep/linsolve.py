@@ -98,8 +98,8 @@ class SpdFactor:
     bandwidth: Optional[int] = None
     perm: Optional[np.ndarray] = None
 
-    def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
-        rhs = np.asarray_chkfinite(rhs, dtype=float) if check_finite else np.asarray(rhs, dtype=float)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray_chkfinite(rhs, dtype=float)
         if rhs.shape[:1] != self.chol_lower.shape[1:]:
             raise DimensionMismatchError(f"rhs length {rhs.shape[0]} != order {self.chol_lower.shape[1]}")
         return self(rhs)

@@ -162,17 +162,17 @@ class EvolutionProblem:
         return self.A.dims
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchemeState:
     """Discrete state after n transitions: y approximates u(n * tau).
 
     ``y_prev`` is carried only by the three-level scheme from level 1 on.
     ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``run`` has
     measured them: a step function's result carries neither until ``run``
-    attaches both, before its observers or the next step see it.  A step
-    reuses ``a_y`` for its residual instead of applying A again; given a
-    state without it (the level 0 of ``three_level_init``, the levels of
-    ``verify.tiny_step_reference``), it applies A itself.
+    sets both, before its observers or the next step see it.  A step reuses
+    ``a_y`` for its residual instead of applying A again; given a state
+    without it (the levels of ``verify.tiny_step_reference``, a bare step
+    call), it applies A itself.
     """
 
     n: int
@@ -313,16 +313,18 @@ def three_level_init(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
     workspace: ThreeLevelWorkspace,
+    state: SchemeState,
 ) -> SchemeState:
-    """Startup transition for the three-level scheme.
+    """Startup transition for the three-level scheme, from the level-0 ``state``.
 
     The first level is produced by one weighted step with the same sigma and
     tau, which keeps the overall first-order accuracy and supplies the pair
-    (y^1, y^0) the three-level transitions consume.
+    (y^1, y^0) the three-level transitions consume.  The step reuses the
+    level's ``a_y`` where ``run`` has measured it.
     """
-    state0 = SchemeState(0, 0.0, problem.v0)
-    stepped = weighted_step(problem, cfg, state0, workspace.startup, forcing_sample(problem, cfg, 0))
-    return SchemeState(stepped.n, stepped.t, stepped.y, y_prev=problem.v0)
+    stepped = weighted_step(problem, cfg, state, workspace.startup, forcing_sample(problem, cfg, 0))
+    stepped.y_prev = state.y
+    return stepped
 
 
 def three_level_step(
@@ -445,8 +447,7 @@ def run(
                 f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
                 step=state.n - 1,
             )
-        object.__setattr__(state, "norm_a", norm_a)
-        object.__setattr__(state, "a_y", a_y)
+        state.norm_a, state.a_y = norm_a, a_y
         return state
 
     def record(state: SchemeState, extras: dict):
@@ -459,7 +460,7 @@ def run(
     if cfg.kind is SchemeKind.THREE_LEVEL:
         record(state, {})
         try:
-            state = three_level_init(problem, cfg, workspace)
+            state = three_level_init(problem, cfg, workspace, state)
         except Exception as err:
             raise RunStepError(f"startup transition 0 -> 1 failed: {err}", step=0) from err
         state = measured(state)

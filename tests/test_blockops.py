@@ -26,9 +26,9 @@ from splitstep import (
 )
 from splitstep import blockops, cli
 from splitstep.blockops import (
+    Product,
     _combine,
     _identity_parts,
-    matvec,
     read_block_operator,
     read_block_vector,
     read_coo_matrix,
@@ -365,7 +365,7 @@ def _with_index_dtype(csr: sp.csr_array, dtype) -> sp.csr_array:
 
 
 class TestMatvec:
-    """``matvec`` calls scipy's private ``_sparsetools.csr_matvec``; these pin it
+    """``Product`` calls scipy's private ``_sparsetools.csr_matvec``; these pin it
     bit for bit against ``@``, so a changed signature or meaning fails here."""
 
     @staticmethod
@@ -390,7 +390,7 @@ class TestMatvec:
             csr = _with_index_dtype(blk, index_dtype)
             assert csr.indices.dtype == csr.indptr.dtype == index_dtype, name
             x = rng.standard_normal(csr.shape[1])
-            got = matvec(csr, x)
+            got = Product(csr)(x)
             assert got.dtype == np.float64 and got.shape == (csr.shape[0],), name
             assert np.array_equal(got, csr @ x), name
 
@@ -401,15 +401,15 @@ class TestMatvec:
         blk = M.block(0, 0)
         assert blk.dtype == np.float64
         x = np.array([0.1, 0.7])
-        assert np.array_equal(matvec(blk, x), ints @ x)
+        assert np.array_equal(Product(blk)(x), ints @ x)
         assert np.array_equal(M.apply(BlockVector(M.dims, x)).to_flat(), ints @ x)
 
     def test_rejects_wrong_length_and_format(self):
         csr = sp.csr_array(np.ones((2, 3)))
         with pytest.raises(DimensionMismatchError):
-            matvec(csr, np.ones(2))
+            Product(csr)(np.ones(2))
         with pytest.raises(TypeError, match="CSR"):
-            matvec(sp.csc_array(csr), np.ones(3))
+            Product(sp.csc_array(csr))
 
 
 def _assert_same_csr(got, want, name):
@@ -423,7 +423,7 @@ def _assert_same_csr(got, want, name):
 
 class TestCombine:
     """``_combine`` calls scipy's private ``_sparsetools.csr_plus_csr``; these pin
-    it bit for bit against scipy's ``a*M + b*N``, as ``TestMatvec`` pins ``matvec``."""
+    it bit for bit against scipy's ``a*M + b*N``, as ``TestMatvec`` pins ``Product``."""
 
     @staticmethod
     def _pairs():

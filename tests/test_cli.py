@@ -688,39 +688,83 @@ STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.
 
 
 @pytest.mark.parametrize(
-    "command, text, v0",
+    "command, text, v0, fragment",
     [
-        ("run", MANUFACTURED_RUN.replace("p = 2", "p = 0"), None),
-        ("run", MANUFACTURED_RUN.replace("m = 9", "M = 0"), None),
-        ("run", MANUFACTURED_RUN.replace("p = 2", "p = two"), None),
-        ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = nan"), None),
-        ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = nan"), None),
-        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = ten"), None),
-        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 2.5"), None),
-        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 0"), None),
-        ("stability", STABILITY_RUN.replace("taus = 0.01 0.1", "taus = -0.1"), None),
-        ("run", MATRIX_FILES_RUN, "1\n2\n"),
-        ("run", MATRIX_FILES_RUN, "1\nnan\n3\n"),
-        ("run", MATRIX_FILES_RUN, "1\nabc\n3\n"),
+        ("run", MANUFACTURED_RUN.replace("p = 2", "p = 0"), None, ""),
+        ("run", MANUFACTURED_RUN.replace("m = 9", "M = 0"), None, ""),
+        ("run", MANUFACTURED_RUN.replace("p = 2", "p = two"), None, ""),
+        ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = nan"), None, ""),
+        ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = nan"), None, ""),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = ten"), None, ""),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 2.5"), None, ""),
+        ("stability", STABILITY_RUN.replace("n_steps = 20", "n_steps = 0"), None, ""),
+        ("stability", STABILITY_RUN.replace("taus = 0.01 0.1", "taus = -0.1"), None, ""),
+        ("run", MATRIX_FILES_RUN, "1\n2\n", "v0.txt"),
+        ("run", MATRIX_FILES_RUN, "1\nnan\n3\n", "v0.txt"),
+        ("run", MATRIX_FILES_RUN, "1\nabc\n3\n", "v0.txt"),
+        # ValueErrors raised by the builders and the problem itself, not by the config readers
+        ("run", MANUFACTURED_RUN.replace("m = 9", "m = 9\n    c = 1 2 3"), None,
+         "config error: [problem]: need 2 amplitudes, got 3\n"),
+        ("run", MATRIX_FILES_RUN.replace("b.manifest", "b2.manifest"), "1\n2\n3\n",
+         "config error: [problem]: B dims (2,) != A dims (3,)\n"),
     ],
     ids=[
         "p_zero", "m_zero", "p_not_integer", "tau_nan", "T_nan", "n_steps_word", "n_steps_fraction",
         "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan", "v0_not_a_number",
+        "amplitudes_wrong_count", "b_dims_differ_from_a",
     ],
 )
-def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0):
+def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0, fragment):
     if v0 is not None:
         rng = np.random.default_rng(55)
         dims = BlockDims((3,))
         write_block_operator(random_spd(rng, dims), str(tmp_path / "a.manifest"))
         write_block_operator(random_block_diag_spd(rng, dims), str(tmp_path / "b.manifest"))
+        write_block_operator(random_block_diag_spd(rng, BlockDims((2,))), str(tmp_path / "b2.manifest"))
         (tmp_path / "v0.txt").write_text(v0)
     config = write_config(tmp_path, text)
     assert main([command, "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
-    if v0 is not None:
-        assert "v0.txt" in err, err
+    assert fragment in err, err
+
+
+@pytest.mark.parametrize("command", ["converge", "compare"])
+def test_inapplicable_scheme_prints_runs_line(tmp_path, capsys, command):
+    # main alone maps SchemeInapplicableError, so every subcommand prints run's line
+    def factorized_porosity(text):
+        text = text.replace("kind = manufactured", "kind = double_porosity")
+        return text.replace("kind = weighted", "kind = factorized")
+
+    run_config = write_config(tmp_path, factorized_porosity(MANUFACTURED_RUN), name="run.ini")
+    assert main(["run", "--config", run_config, "--out", str(tmp_path), "--quiet"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("config error: factorized scheme needs a block-diagonal B") and want.count("\n") == 1
+    config = write_config(tmp_path, factorized_porosity(CONVERGE_BASE))
+    assert main([command, "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize(
+    "command, config, work",
+    [
+        ("run", "run_manufactured.ini", "run"),
+        ("converge", "converge_weighted.ini", "convergence_study"),
+        ("stability", "stability_three_level.ini", "run"),
+        ("compare", "compare_schemes.ini", "compare_schemes"),
+    ],
+    ids=["run", "converge", "stability", "compare"],
+)
+def test_unusable_out_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys, command, config, work):
+    def unreached(*args, **kwargs):
+        raise AssertionError(f"{work} called before --out was checked")
+
+    monkeypatch.setattr(cli, work, unreached)
+    out = tmp_path / "taken"
+    out.write_text("a regular file")
+    assert main([command, "--config", str(SHIPPED_CONFIGS / config), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err, err
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from splitstep import (
     triangular_split,
     zero_forcing,
 )
-from splitstep.blockops import DimensionMismatchError, Product, matvec
+from splitstep.blockops import DimensionMismatchError, Product
 from splitstep.linsolve import SPARSE_MIN_ORDER, BlockStructureError
 
 from helpers import full_spec, random_block_diag_spd, random_dims, random_spd, random_vector
@@ -257,7 +257,7 @@ class TestRowStrips:
             acc = b[off[a] : off[a + 1]]
             if a in partner:
                 c = partner[a]
-                acc = acc - matvec(T.block(a, c), want[off[c] : off[c + 1]])
+                acc = acc - Product(T.block(a, c))(want[off[c] : off[c + 1]])
             want[off[a] : off[a + 1]] = diag.factors[a].solve(acc)
         got = (solve_block_upper if upper else solve_block_lower)(T, rhs, diag)
         np.testing.assert_array_equal(got.to_flat(), want)
@@ -367,7 +367,6 @@ class TestBandedPath:
         rhs[3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             factor.solve(rhs)
-        assert np.isnan(factor.solve(rhs, check_finite=False)).all()
 
     def test_rcm_ordered_weighted_solve_matches_dense(self):
         from splitstep.problems import assemble_operators

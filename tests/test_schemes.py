@@ -265,7 +265,7 @@ class TestThreeLevelScheme:
     def test_startup_is_one_weighted_step(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2)
-        init = three_level_init(prob, cfg, prepare(prob, cfg))
+        init = three_level_init(prob, cfg, prepare(prob, cfg), SchemeState(0, 0.0, prob.v0))
         weighted = replace(cfg, kind="weighted")
         ref = weighted_step(
             prob, weighted, SchemeState(0, 0.0, prob.v0), prepare(prob, weighted), forcing_sample(prob, cfg, 0)
@@ -315,7 +315,7 @@ class TestThreeLevelScheme:
         prob = random_problem(np.random.default_rng(22), diag_b=False)
         cfg = SchemeConfig("three_level", sigma=1.0, tau=0.05, n_steps=2)
         ws = prepare(prob, cfg)
-        init = three_level_init(prob, cfg, ws)
+        init = three_level_init(prob, cfg, ws, SchemeState(0, 0.0, prob.v0))
         state = replace(init, a_y=prob.A.apply(init.y))
         phi = forcing_sample(prob, cfg, 1)
         applied = []
@@ -337,7 +337,7 @@ class TestThreeLevelScheme:
             "three_level", sigma=1.0, tau=0.05, n_steps=2, epsilon=float(rng.uniform(0.5, 2.0))
         )
         ws = prepare(prob, cfg)
-        init = three_level_init(prob, cfg, ws)
+        init = three_level_init(prob, cfg, ws, SchemeState(0, 0.0, prob.v0))
         out = three_level_step(prob, cfg, init, ws, forcing_sample(prob, cfg, 1))
 
         a_pair = triangular_split(prob.A)
@@ -424,13 +424,13 @@ class TestRun:
     )
     def test_one_product_with_a_per_level(self, monkeypatch, kind, sigma, diag_b):
         # run's guard computes A y once per level and the next transition's
-        # residual reuses it; only the three-level startup step makes its own
+        # residual reuses it, the three-level startup step's included
         prob = random_problem(np.random.default_rng(21), diag_b=diag_b)
         cfg = SchemeConfig(kind, sigma=sigma, tau=0.05, n_steps=6)
         # the same levels from bare step calls, whose states carry no product
         ws = prepare(prob, cfg)
         if kind == "three_level":
-            state = three_level_init(prob, cfg, ws)
+            state = three_level_init(prob, cfg, ws, SchemeState(0, 0.0, prob.v0))
             bare = [prob.v0, state.y]
         else:
             state = SchemeState(0, 0.0, prob.v0)
@@ -451,8 +451,7 @@ class TestRun:
 
         monkeypatch.setattr(BlockOperator, "product", counting_product)
         log = run(prob, cfg)
-        startup = 1 if kind == "three_level" else 0
-        assert len(products) == cfg.n_steps + 1 + startup
+        assert len(products) == cfg.n_steps + 1
         assert len(log.states) == len(bare)
         for got, want in zip(log.states, bare):
             np.testing.assert_array_equal(got.to_flat(), want.to_flat())

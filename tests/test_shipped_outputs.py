@@ -1,28 +1,39 @@
 """The four subcommands on their shipped configs give the committed outputs.
 
-Each subcommand runs in process on its config under ``configs/``; its exit
-code, stdout, stderr and CSV are compared with the files under
+The subcommands run on their configs under ``configs/`` in one child process
+(this file run with ``--child OUT``), each in process as a fresh command line
+would run it, with one set of compiled kernels pinned by ``PINNED_KERNELS``:
+OpenBLAS's Haswell kernels, numpy's SIMD loops without their AVX-512 targets,
+and one BLAS thread.  Every x86-64 CI runner has these instructions.  Each
+exit code, stdout, stderr and CSV is compared with the files under
 ``tests/data/shipped/<subcommand>/``, where stdout has the output directory
 written as ``<out>``.  Text must match exactly; numbers within ``REL_TOL``.
 
-``REL_TOL`` is 0: the default thread count and ``OPENBLAS_NUM_THREADS=1``
-gave byte-identical outputs on a 2-core Xeon (OpenBLAS 0.3.31, scipy
-1.17.1, numpy 2.4.6), so no tolerance is measured to be needed.  Other
-OpenBLAS kernels do move cells: under ``OPENBLAS_CORETYPE=Haswell`` the norms
-differ by about 1e-14 relative and this test fails.  A change that moves an
-output on purpose rewrites these files in its own diff:
+The pin is what lets ``REL_TOL`` be 0.  Unpinned, both libraries choose their
+kernels from the CPU: OpenBLAS's SkylakeX and Haswell kernels give different
+CSVs, and so do numpy's AVX-512 and AVX2 loops (``converge``'s errors by up to
+2e-8 relative), so the committed bits would be one CPU's.  Pinned, the outputs
+do not depend on the kernels the test process itself runs with, nor on the
+BLAS thread count (1 and 2 gave the same bytes).  A change that moves an
+output on purpose rewrites these files, through the same child, in its own
+diff:
 
     PYTHONPATH=src python tests/test_shipped_outputs.py
 """
 
 import contextlib
 import io
+import logging
+import os
 import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+import splitstep
 from splitstep.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,23 +44,54 @@ SHIPPED = {
     "stability": ("stability_three_level.ini", "stability.csv"),
     "compare": ("compare_schemes.ini", "compare.csv"),
 }
+PINNED_KERNELS = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_NUM_THREADS": "1",
+}
 REL_TOL = 0.0
 NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:e[+-]?\d+)?)")
 
 
-def shipped_outputs(command: str, out: Path) -> dict[str, str]:
-    """Exit code, stdout, stderr and CSV of one subcommand, run in process."""
-    config, csv_name = SHIPPED[command]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([command, "--config", str(ROOT / "configs" / config), "--out", str(out)])
-    csv_path = out / csv_name
-    return {
-        "exit_code.txt": f"{code}\n",
-        "stdout.txt": stdout.getvalue().replace(str(out), "<out>"),
-        "stderr.txt": stderr.getvalue(),
-        csv_name: csv_path.read_text(encoding="utf-8") if csv_path.exists() else "",
-    }
+def output_names(command: str) -> tuple[str, ...]:
+    return ("exit_code.txt", "stdout.txt", "stderr.txt", SHIPPED[command][1])
+
+
+def write_outputs(out: Path) -> None:
+    """Run every subcommand in this process; write its four files to ``out/<subcommand>/``."""
+    for command, (config, csv_name) in SHIPPED.items():
+        work = out / command
+        work.mkdir(parents=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        logging.root.handlers.clear()  # main's logging setup binds this command's stderr
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(ROOT / "configs" / config), "--out", str(work)])
+        csv_path = work / csv_name
+        outputs = {
+            "exit_code.txt": f"{code}\n",
+            "stdout.txt": stdout.getvalue().replace(str(work), "<out>"),
+            "stderr.txt": stderr.getvalue(),
+            csv_name: csv_path.read_text(encoding="utf-8") if csv_path.exists() else "",
+        }
+        for name, text in outputs.items():
+            (work / name).write_text(text, encoding="utf-8")
+
+
+def shipped_outputs(out: Path) -> Path:
+    """``write_outputs`` in one child process with ``PINNED_KERNELS``; returns ``out``."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    package_root = str(Path(splitstep.__file__).resolve().parents[1])
+    env.update(PINNED_KERNELS, PYTHONPATH=os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, __file__, "--child", str(out)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert child.returncode == 0, child.stderr
+    return out
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return shipped_outputs(tmp_path_factory.mktemp("shipped"))
 
 
 def assert_same_cells(got: str, want: str, name: str):
@@ -64,21 +106,26 @@ def assert_same_cells(got: str, want: str, name: str):
 
 
 @pytest.mark.parametrize("command", sorted(SHIPPED))
-def test_shipped_outputs_match(tmp_path, command):
-    for name, got in shipped_outputs(command, tmp_path).items():
-        want = (DATA / command / name).read_text(encoding="utf-8")
+def test_shipped_outputs_match(outputs, command):
+    for file_name in output_names(command):
+        got = (outputs / command / file_name).read_text(encoding="utf-8")
+        want = (DATA / command / file_name).read_text(encoding="utf-8")
+        name = f"{command}/{file_name}"
         got_lines, want_lines = got.splitlines(), want.splitlines()
-        assert len(got_lines) == len(want_lines), f"{command}/{name}: {len(got_lines)} lines != {len(want_lines)}"
+        assert len(got_lines) == len(want_lines), f"{name}: {len(got_lines)} lines != {len(want_lines)}"
         for line, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
-            assert_same_cells(g, w, f"{command}/{name}:{line}")
+            assert_same_cells(g, w, f"{name}:{line}")
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    for command in SHIPPED:
+    if sys.argv[1:2] == ["--child"]:
+        write_outputs(Path(sys.argv[2]))
+    else:
         with tempfile.TemporaryDirectory() as tmp:
-            (DATA / command).mkdir(parents=True, exist_ok=True)
-            for name, text in shipped_outputs(command, Path(tmp)).items():
-                (DATA / command / name).write_text(text, encoding="utf-8")
+            shipped_outputs(Path(tmp))
+            for command in SHIPPED:
+                (DATA / command).mkdir(parents=True, exist_ok=True)
+                for file_name in output_names(command):
+                    text = (Path(tmp) / command / file_name).read_text(encoding="utf-8")
+                    (DATA / command / file_name).write_text(text, encoding="utf-8")
     sys.exit(0)

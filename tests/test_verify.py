@@ -134,7 +134,7 @@ class TestTwoLevelEstimate:
         for n, rec in enumerate(log.records[1:]):
             assert rec.extras["slack"] == norms[n] ** 2 - norms[n + 1] ** 2
 
-        def no_solve(self, rhs, check_finite=True):
+        def no_solve(self, rhs):
             raise AssertionError("solved with a zero right-hand side")
 
         # a term whose vector is zero is skipped: no solve, no CG iteration
@@ -370,7 +370,7 @@ class _AfterInitial(RunObserver):
 @pytest.mark.parametrize("kind, sigma", CERTIFIED_RUNS)
 def test_transitions_make_no_scipy_matmul(monkeypatch, kind, sigma, m):
     # every per-step product, the observers' energies included, goes through
-    # blockops.matvec; N = 62 holds dense observer weights, N = 128 sparse ones
+    # blockops.Product; N = 62 holds dense observer weights, N = 128 sparse ones
     prob = _certified_problem(kind, m)
     first = 1 if kind == "three_level" else 0
     cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=first + 6)
