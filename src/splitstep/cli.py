@@ -379,12 +379,11 @@ def cmd_converge(args, cp, config_dir: str) -> int:
     for row in report.rows:
         order = "" if row.order is None else f" order={row.order:.3f}"
         _say(args, f"tau={row.tau:.17g} error_a={row.error_a:.6e}{order}")
-    order = report.finest_order
-    ok = window[0] <= order <= window[1]
-    _say(
-        args,
-        f"finest order {order:.3f} {'within' if ok else 'OUTSIDE'} [{window[0]}, {window[1]}]",
-    )
+    # an error of exactly zero leaves the finest order undefined, judged as compare judges a ratio
+    order = report.rows[-1].order
+    ok = order is not None and window[0] <= order <= window[1]
+    shown = "n/a" if order is None else f"{order:.3f}"
+    _say(args, f"finest order {shown} {'within' if ok else 'OUTSIDE'} [{window[0]}, {window[1]}]")
     _say(args, f"wrote {path}")
     return 0 if ok else 1
 
@@ -547,6 +546,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,8 +19,9 @@ arithmetic on flat arrays through the products and solves ``prepare`` binds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,13 +55,6 @@ class SchemeInapplicableError(ValueError):
     """The chosen scheme's structural preconditions do not hold."""
 
 
-_STABILITY_THRESHOLD = {
-    SchemeKind.WEIGHTED: 0.5,
-    SchemeKind.FACTORIZED: 0.5,
-    SchemeKind.THREE_LEVEL: 1.0,
-}
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Scheme selection plus step parameters.
@@ -82,15 +76,16 @@ class SchemeConfig:
         for name, value in (("tau", self.tau), ("epsilon", self.epsilon), ("n_steps", self.n_steps)):
             if not value > 0.0:
                 raise ValueError(f"{name}={value} must be positive")
-            if not np.isfinite(value):
+            if name != "n_steps" and not np.isfinite(value):
                 raise ValueError(f"{name}={value} must be finite")
-        if int(self.n_steps) != self.n_steps:
-            raise ValueError(f"n_steps={self.n_steps} must be a positive integer")
+        # compared before it is converted: an int past float range has no finiteness to test
+        if not self.n_steps < 2**63 or int(self.n_steps) != self.n_steps:
+            raise ValueError(f"n_steps={self.n_steps} must be finite, an integer and at most 2**63 - 1")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def stability_threshold(self) -> float:
-        return _STABILITY_THRESHOLD[self.kind]
+        return 1.0 if self.kind is SchemeKind.THREE_LEVEL else 0.5
 
     @property
     def in_hypothesis(self) -> bool:
@@ -116,7 +111,15 @@ class ExponentialSumForcing:
                 raise DimensionMismatchError(f"forcing term dims {vec.dims.sizes} != {self.dims.sizes}")
         object.__setattr__(self, "terms", terms)
 
+    @cached_property
+    def _zero(self) -> BlockVector:
+        flat = np.zeros(self.dims.total)
+        flat.flags.writeable = False
+        return BlockVector._own(self.dims, flat)
+
     def __call__(self, t: float) -> BlockVector:
+        if not self.terms:
+            return self._zero
         out = np.zeros(self.dims.total)
         for rate, vec in self.terms:
             out += float(np.exp(rate * t)) * vec.to_flat()
@@ -195,12 +198,16 @@ def forcing_sample(problem: EvolutionProblem, cfg: SchemeConfig, n: int) -> Bloc
 
 @dataclass(frozen=True)
 class WeightedWorkspace:
+    """C = B + sigma*tau*A and its factor."""
+
     shifted: BlockOperator
     factor: SpdFactor
 
 
 @dataclass(frozen=True)
 class FactorizedWorkspace:
+    """A block-lower operator, its block-upper mirror and the factors of their shared diagonal blocks."""
+
     lower: BlockOperator
     upper: BlockOperator
     diag: DiagFactorization
@@ -208,59 +215,41 @@ class FactorizedWorkspace:
 
 @dataclass(frozen=True)
 class ThreeLevelWorkspace:
-    """C1 + eps E, C2 + eps E and their diagonal factors; ``startup`` has C = B + sigma*tau*A."""
+    """``split`` holds the sweeps of C1 + eps E and C2 + eps E, ``startup`` C = B + sigma*tau*A."""
 
-    c1_plus: BlockOperator
-    c2_plus: BlockOperator
-    diag: DiagFactorization
+    split: FactorizedWorkspace
     startup: WeightedWorkspace
 
 
-def _shifted_operator(problem: EvolutionProblem, cfg: SchemeConfig) -> BlockOperator:
-    return lincomb(1.0, problem.B, cfg.sigma * cfg.tau, problem.A)
-
-
-def _prepare_weighted(problem: EvolutionProblem, cfg: SchemeConfig) -> WeightedWorkspace:
-    shifted = _shifted_operator(problem, cfg)
-    return WeightedWorkspace(shifted, factor_spd(shifted, context="B + sigma*tau*A"))
-
-
-def _prepare_factorized(problem: EvolutionProblem, cfg: SchemeConfig) -> FactorizedWorkspace:
-    if not problem.B.is_block_diagonal():
-        raise SchemeInapplicableError(
-            "factorized scheme needs a block-diagonal B; "
-            "use the three-level scheme for coupled time derivatives"
-        )
-    split = triangular_split(problem.A)
-    st = cfg.sigma * cfg.tau
-    lower = lincomb(1.0, problem.B, st, split.lower)
-    upper = lincomb(1.0, problem.B, st, split.upper)
-    # lower and upper share identical diagonal blocks B_a + (sigma*tau/2) A_aa
+def _split_pair(lower: BlockOperator, upper: BlockOperator) -> FactorizedWorkspace:
+    """Factor the diagonal blocks ``lower`` shares with its mirror ``upper`` and bind both sweeps."""
     diag = DiagFactorization.from_operator(lower)
     diag.sweep(lower, False)  # both sweeps bound, and checked, here
     diag.sweep(upper, True)
     return FactorizedWorkspace(lower, upper, diag)
 
 
-def _prepare_three_level(problem: EvolutionProblem, cfg: SchemeConfig) -> ThreeLevelWorkspace:
-    a_split = triangular_split(problem.A)
-    b_split = triangular_split(problem.B)
-    st = cfg.sigma * cfg.tau
-    c1_plus = lincomb(1.0, b_split.lower, st, a_split.lower, shift=cfg.epsilon)
-    c2_plus = lincomb(1.0, b_split.upper, st, a_split.upper, shift=cfg.epsilon)
-    diag = DiagFactorization.from_operator(c1_plus)
-    diag.sweep(c1_plus, False)  # both sweeps bound, and checked, here
-    diag.sweep(c2_plus, True)
-    return ThreeLevelWorkspace(c1_plus, c2_plus, diag, _prepare_weighted(problem, cfg))
-
-
 def prepare(problem: EvolutionProblem, cfg: SchemeConfig):
     """Build the reusable per-configuration workspace for the chosen scheme."""
-    if cfg.kind is SchemeKind.WEIGHTED:
-        return _prepare_weighted(problem, cfg)
+    st = cfg.sigma * cfg.tau
+    split = None
     if cfg.kind is SchemeKind.FACTORIZED:
-        return _prepare_factorized(problem, cfg)
-    return _prepare_three_level(problem, cfg)
+        if not problem.B.is_block_diagonal():
+            raise SchemeInapplicableError(
+                "factorized scheme needs a block-diagonal B; use the three-level scheme for coupled time derivatives"
+            )
+        a_split = triangular_split(problem.A)
+        return _split_pair(lincomb(1.0, problem.B, st, a_split.lower), lincomb(1.0, problem.B, st, a_split.upper))
+    if cfg.kind is SchemeKind.THREE_LEVEL:
+        a_split, b_split = triangular_split(problem.A), triangular_split(problem.B)
+        # factored before C, so where both would fail the pair's failure is reported
+        split = _split_pair(
+            lincomb(1.0, b_split.lower, st, a_split.lower, shift=cfg.epsilon),
+            lincomb(1.0, b_split.upper, st, a_split.upper, shift=cfg.epsilon),
+        )
+    shifted = lincomb(1.0, problem.B, st, problem.A)
+    weighted = WeightedWorkspace(shifted, factor_spd(shifted, context="B + sigma*tau*A"))
+    return weighted if split is None else ThreeLevelWorkspace(split, weighted)
 
 
 # The steps do their vector arithmetic on the flat arrays of their states and
@@ -349,8 +338,8 @@ def three_level_step(
     y = state.y.to_flat()
     diff = y - state.y_prev.to_flat()
     g = (2.0 * cfg.epsilon) * (_residual_rhs(problem, cfg, state, phi) - c.product(diff))
-    half = solve_block_lower(workspace.c1_plus, BlockVector._own(c.dims, g), workspace.diag)
-    dy = solve_block_upper(workspace.c2_plus, half, workspace.diag)
+    half = solve_block_lower(workspace.split.lower, BlockVector._own(c.dims, g), workspace.split.diag)
+    dy = solve_block_upper(workspace.split.upper, half, workspace.split.diag)
     return _advanced(cfg, state, y + diff + dy.to_flat(), y_prev=state.y)
 
 
@@ -382,18 +371,17 @@ class RunObserver:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunRecord:
     n: int
     t: float
     norm_a: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 @dataclass(frozen=True)
 class RunLog:
     """``states`` is None under ``keep_states=False``; ``final_state`` is kept either way."""
-    config: SchemeConfig
     records: tuple[RunRecord, ...]
     states: Optional[tuple[BlockVector, ...]]
     final_state: BlockVector
@@ -483,4 +471,4 @@ def run(
             extras.update(obs.transition(problem, cfg, state, new, phi))
         record(new, extras)
         state = new
-    return RunLog(cfg, tuple(records), tuple(states) if keep_states else None, state.y)
+    return RunLog(tuple(records), tuple(states) if keep_states else None, state.y)

@@ -38,6 +38,7 @@ from .schemes import (
     FactorizedWorkspace,
     RunLog,
     RunObserver,
+    RunStepError,
     SchemeConfig,
     SchemeKind,
     SchemeState,
@@ -157,12 +158,20 @@ class _LevelObserver(RunObserver):
         if self._workspace is None:
             raise ValueError("the observer needs the run's workspace: prepared must come before initial")
         self.assemble(problem, cfg, self._workspace)
-        self.initial_energy = self._last = self.energy(state)
+        self.initial_energy = self._last = self._finite_energy(state)
         return self._last
+
+    def _finite_energy(self, state: SchemeState) -> float:
+        """The level's energy; a non-finite one stops the run at the level, as ``run``'s guard does."""
+        energy = self.energy(state)
+        if not math.isfinite(energy):
+            message = f"the estimate energy of level {state.n} is not finite ({energy})"
+            raise RunStepError(message, step=max(state.n - 1, 0))
+        return energy
 
     def _slack(self, prev: SchemeState, new: SchemeState) -> float:
         bound = self._last + self.forcing_term(prev.n)
-        self._last = self.energy(new)
+        self._last = self._finite_energy(new)
         self.min_slack = min(self.min_slack, bound - self._last)
         return bound - self._last
 
@@ -236,12 +245,12 @@ class EnergyObserver(_LevelObserver):
         state (applied afresh for a bare one), and C2 r = (C2 + eps E) r - eps r."""
         if state.y_prev is None:
             raise ValueError("three-level energy needs a state carrying its previous level")
-        c2_plus, tau, eps = self._workspace.c2_plus, self._cfg.tau, self._cfg.epsilon
+        upper, tau, eps = self._workspace.split.upper, self._cfg.tau, self._cfg.epsilon
         a_y = self._problem.A.apply(state.y) if state.a_y is None else state.a_y
         y, y_prev = state.y.to_flat(), state.y_prev.to_flat()
         rate = (y - y_prev) / tau
-        c2_rate = c2_plus.product(rate) - eps * rate
-        squares = float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate)
+        c2_rate = upper.product(rate) - eps * rate
+        squares = float(c2_rate @ c2_rate) + eps * eps * float(rate @ rate)
         return float(a_y.to_flat() @ y_prev) + (tau / (2.0 * eps)) * squares
 
     def diff_weight(self):
@@ -251,8 +260,8 @@ class EnergyObserver(_LevelObserver):
         if self._workspace is None:
             raise ValueError("the difference weight needs the run's workspace: prepared must come first")
         ws, tau, eps = self._workspace, self._cfg.tau, self._cfg.epsilon
-        product = (tau / (2.0 * eps)) * (_whole(ws.c1_plus) @ _whole(ws.c2_plus))
-        return product - (0.5 * tau) * _whole(ws.startup.shifted) - (0.25 * tau**2) * _whole(self._problem.A)
+        product = (tau / (2.0 * eps)) * (_whole(ws.split.lower) @ _whole(ws.split.upper))
+        return product - (0.5 * tau) * _whole(ws.startup.shifted) - (0.25 * tau * tau) * _whole(self._problem.A)
 
     def diff_weight_min_eig(self) -> Optional[float]:
         """Smallest eigenvalue of R, or None where R's rounding decides it.
@@ -260,7 +269,8 @@ class EnergyObserver(_LevelObserver):
         The built R is off by up to about u ||R||_inf, u = 2^-53 (at most
         1.04 u ||R||_inf measured for m from 31 to 16383): below
         delta = 8 u ||R||_inf, |lambda| has neither a resolved size nor a
-        resolved sign.  Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above
+        resolved sign, and a non-finite R, whose delta is infinite, is None
+        before any factorization.  Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above
         it, Cholesky factorizations of R - delta I and R + delta I settle that
         first: None when only the second succeeds, with no eigen-iteration.
         Otherwise Lanczos iteration (``eigsh``) on (R - s I)^{-1} with a shift
@@ -273,6 +283,8 @@ class EnergyObserver(_LevelObserver):
         r = self.diff_weight()
         row_sums = abs(r).sum(axis=1)
         rounding = 8.0 * 2.0**-53 * float(row_sums.max())
+        if not math.isfinite(rounding):
+            return None
         if not sp.issparse(r):
             lam = float(np.linalg.eigvalsh(r)[0])
             return lam if abs(lam) > rounding else None

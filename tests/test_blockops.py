@@ -830,6 +830,6 @@ class TestSetUpCounts:
         assert len(made) == 4
         made.clear()
         ws = prepare(problem, cfg)
-        blocks = sum(len(op.blocks) for op in (ws.c1_plus, ws.c2_plus, ws.startup.shifted))
+        blocks = sum(len(op.blocks) for op in (ws.split.lower, ws.split.upper, ws.startup.shifted))
         assert blocks == 10
         assert len(made) <= blocks

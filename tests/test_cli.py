@@ -276,6 +276,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: transition 45 -> 46 produced a non-finite level (A-norm inf)\n"
 
+    def test_overflowing_energy_stops_the_run(self, tmp_path, capsys):
+        # at eps = 1e200, eps^2 overflows to inf: the infinite energy of level 1
+        # stops the run with one error line
+        text = STABILITY_THREE_LEVEL.replace("sigmas = 0.5 1.0", "sigma = 1.0").replace("taus = 0.01 0.1", "tau = 0.1")
+        config = write_config(tmp_path, text.replace("epsilon = 1.0", "epsilon = 1e200"))
+        assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: the estimate energy of level 1 is not finite (inf)\n"
+
     def test_factorized_estimate_certifies_past_the_assembled_weight(self, tmp_path, capsys):
         # assembled, the factorized W is past 1/eps at this size and step and
         # its band Cholesky met a non-positive pivot; in factored form, solved
@@ -423,6 +431,16 @@ class TestConvergeCommand:
             assert main(["converge", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
         warned = [rec for rec in caplog.records if "below the stability threshold" in rec.message]
         assert len(warned) == 1 and "sigma=0.25" in warned[0].message
+
+    def test_zero_errors_leave_the_finest_order_undefined(self, tmp_path, capsys):
+        # c = 0 0: the exact solution is 0 and every error exactly 0.0, so no order exists
+        config = write_config(tmp_path, CONVERGE_BASE.replace("m = 9", "m = 9\n    c = 0 0"))
+        assert main(["converge", "--config", config, "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "finest order n/a OUTSIDE [1.8, 2.2]" in out.splitlines()
+        _, rows = read_csv(tmp_path / "converge.csv")
+        assert [(row[1], row[2]) for row in rows] == [("0", "")] * 3
 
     def test_diverging_ladder_is_one_error_line(self, tmp_path, capsys):
         config = write_config(tmp_path, DIVERGING_LADDER)
@@ -581,6 +599,21 @@ class TestStabilityCommand:
         _, rows = read_csv(tmp_path / "stability.csv")
         assert all(row[4] != "" for row in rows)
 
+    def test_overflow_fails_or_leaves_r_unresolved(self, tmp_path, capsys):
+        # eps^2 (in the energy) and tau^2 (in R) overflow at 1e200: a certified cell
+        # whose energy is infinite fails, and an R that is not finite is unresolved
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("epsilon = 1.0", "epsilon = 1e200"))
+        assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "stability.csv")
+        certified = [row for row in rows if float(row[0]) >= 1.0]
+        assert certified and all(row[3] == "" and row[4] == "unresolved" for row in certified)
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("taus = 0.01 0.1", "taus = 0.01 1e200"))
+        main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"])
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "stability.csv")
+        assert [row[4] == "unresolved" for row in rows] == [False, True, False, True]
+
     def test_three_level_sweep_needs_two_steps(self, tmp_path, capsys):
         # one step runs only the uncertified startup transition
         config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("n_steps = 20", "n_steps = 1"))
@@ -707,11 +740,20 @@ STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.
          "config error: [problem]: need 2 amplitudes, got 3\n"),
         ("run", MATRIX_FILES_RUN.replace("b.manifest", "b2.manifest"), "1\n2\n3\n",
          "config error: [problem]: B dims (2,) != A dims (3,)\n"),
+        ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = 0"), None, "config error: [scheme] T=0.0 must be positive\n"),
+        ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = -1/64"), None,
+         "config error: [scheme] tau=-0.015625 must be positive\n"),
+        ("run", MANUFACTURED_RUN + "\n    [output]\n    checks = maybe\n", None,
+         "config error: [output] checks='maybe' unknown; expected auto or none\n"),
+        # 10**300 steps: an int past float range, rejected without a float conversion
+        ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = 1e-300"), None,
+         " must be finite, an integer and at most 2**63 - 1\n"),
     ],
     ids=[
         "p_zero", "m_zero", "p_not_integer", "tau_nan", "T_nan", "n_steps_word", "n_steps_fraction",
         "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan", "v0_not_a_number",
-        "amplitudes_wrong_count", "b_dims_differ_from_a",
+        "amplitudes_wrong_count", "b_dims_differ_from_a", "T_zero", "tau_negative_run", "checks_unknown",
+        "steps_past_int64",
     ],
 )
 def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0, fragment):

@@ -82,6 +82,10 @@ class TestFactorSpd:
         with pytest.raises(DimensionMismatchError):
             factor_spd(np.zeros((2, 3)))
 
+    def test_solve_rejects_a_right_hand_side_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="rhs length 3 != order 2"):
+            factor_spd(np.eye(2)).solve(np.ones(3))
+
     def test_accepts_sparse_input(self):
         G = sp.csr_array(np.array([[3.0, 1.0], [1.0, 3.0]]))
         factor = factor_spd(G)
@@ -415,6 +419,12 @@ class TestFullSolve:
         x1 = solve_spd_full(M, rhs, factor)
         x2 = solve_spd_full(M, rhs, factor_spd(M))
         np.testing.assert_allclose(x1.to_flat(), x2.to_flat(), atol=1e-14)
+
+    def test_factor_of_another_order_is_rejected(self):
+        dims = BlockDims((2,))
+        rhs = BlockVector.from_parts(dims, ([1.0, 1.0],))
+        with pytest.raises(DimensionMismatchError, match="rhs length 2 != order 3"):
+            solve_spd_full(BlockOperator.identity(dims), rhs, factor_spd(np.eye(3)))
 
     def test_mismatched_factor_fails_residual_check(self):
         dims = BlockDims((2,))

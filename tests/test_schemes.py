@@ -85,6 +85,11 @@ class TestSchemeConfig:
             SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=np.inf)
         with pytest.raises(ValueError, match="n_steps=nan must be positive"):
             SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=np.nan)
+        # counts past int64 are rejected, 10**300 (past float range) included
+        for n_steps in (2**63, 10**19, 10**300):
+            with pytest.raises(ValueError, match=r"must be finite, an integer and at most 2\*\*63 - 1"):
+                SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=n_steps)
+        assert SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=2**63 - 1).n_steps == 2**63 - 1
 
     def test_thresholds_and_hypothesis_flag(self):
         weighted = SchemeConfig("weighted", sigma=0.5, tau=0.1, n_steps=1)
@@ -109,7 +114,10 @@ class TestForcing:
 
     def test_zero_and_constant(self):
         dims = BlockDims((2, 1))
-        assert zero_forcing(dims)(1.7).norm() == 0.0
+        zero = zero_forcing(dims)
+        assert zero(1.7).norm() == 0.0
+        # one shared read-only sample, not a fresh vector per call
+        assert zero(2.5) is zero(1.7) and not zero(1.7).to_flat().flags.writeable
         vec = BlockVector.from_parts(dims, ([1.0, 2.0], [3.0]))
         f = constant_forcing(vec)
         np.testing.assert_array_equal(f(0.0).to_flat(), vec.to_flat())
@@ -537,9 +545,9 @@ class TestBandedSchemes:
         for m, banded in ((31, False), (SPARSE_MIN_ORDER, True)):
             prob = manufactured_problem(example_porosity_spec(p=2, m=m)).problem
             ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
-            for op in (ws.c1_plus, ws.c2_plus, ws.startup.shifted):
+            for op in (ws.split.lower, ws.split.upper, ws.startup.shifted):
                 assert all(isinstance(blk, sp.csr_array) for blk in op.blocks.values())
-            assert all((f.bandwidth is not None) == banded for f in ws.diag.factors)
+            assert all((f.bandwidth is not None) == banded for f in ws.split.diag.factors)
 
     def test_sigma_zero_coincidence_at_m300(self):
         # with sigma = 0 the factorized operator B B^{-1} B is B itself, so
@@ -670,7 +678,8 @@ class TestWrittenOutArithmetic:
         if kind != "factorized":
             assert (weighted.factor.bandwidth is not None) == banded
         if kind != "weighted":
-            assert all((f.bandwidth is not None) == banded for f in ws.diag.factors)
+            split = ws.split if kind == "three_level" else ws
+            assert all((f.bandwidth is not None) == banded for f in split.diag.factors)
         observer = EnergyObserver() if kind == "three_level" else EstimateObserver()
         log = run(prob, cfg, observers=(observer,))
 
@@ -685,8 +694,8 @@ class TestWrittenOutArithmetic:
 
         def energy(y, y_prev):
             rate = (y - y_prev) / tau
-            c2_rate = ws.c2_plus.to_sparse() @ rate - eps * rate
-            squares = float(c2_rate @ c2_rate) + eps**2 * float(rate @ rate)
+            c2_rate = ws.split.upper.to_sparse() @ rate - eps * rate
+            squares = float(c2_rate @ c2_rate) + eps * eps * float(rate @ rate)
             return float((a @ y) @ y_prev) + (tau / (2.0 * eps)) * squares
 
         levels = [prob.v0.to_flat()]
@@ -704,8 +713,8 @@ class TestWrittenOutArithmetic:
             else:
                 diff = y - levels[-2]
                 g = (2.0 * eps) * (g - ws.startup.shifted.to_sparse() @ diff)
-                half = _written_out_sweep(ws.c1_plus, ws.diag, g, descending=False)
-                levels.append(y + diff + _written_out_sweep(ws.c2_plus, ws.diag, half, descending=True))
+                half = _written_out_sweep(ws.split.lower, ws.split.diag, g, descending=False)
+                levels.append(y + diff + _written_out_sweep(ws.split.upper, ws.split.diag, half, descending=True))
 
         assert len(log.states) == len(levels)
         for got, want, rec in zip(log.states, levels, log.records):

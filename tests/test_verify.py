@@ -18,8 +18,10 @@ from splitstep import (
     ExponentialSumForcing,
     NotPositiveDefiniteError,
     RunObserver,
+    RunStepError,
     SchemeConfig,
     SchemeState,
+    SolveFailureError,
     SpdFactor,
     UnsupportedForcingError,
     build_coupled_diffusion,
@@ -143,6 +145,14 @@ class TestTwoLevelEstimate:
         obs = observed(EstimateObserver(), replace(prob, forcing=zero_term), cfg)
         assert obs.forcing_term(0) == 0.0
 
+    def test_cg_out_of_budget_is_a_solve_failure(self, monkeypatch):
+        # one CG iteration cannot solve with the factorized weight W = P - (tau/2) A
+        monkeypatch.setattr(verify, "_CG_BUDGET", 1)
+        prob = random_problem(np.random.default_rng(16), diag_b=True)
+        cfg = SchemeConfig("factorized", sigma=1.0, tau=0.2, n_steps=1)
+        with pytest.raises(SolveFailureError, match="estimate weight: CG did not converge in 1 iterations"):
+            EstimateObserver().assemble(prob, cfg, prepare(prob, cfg))
+
     def test_class_and_function_agree(self):
         # the observer's streaming slack and the recomputation from a run's states
         rng = np.random.default_rng(14)
@@ -216,6 +226,31 @@ class TestThreeLevelEstimate:
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
         with pytest.raises(ValueError, match="previous level"):
             observed(EnergyObserver(), prob, cfg, SchemeState(1, 0.1, prob.v0))
+
+    def test_non_finite_energy_stops_the_run_at_its_level(self):
+        # eps^2 overflows at eps = 1e200: the energy of level 1 is inf, which
+        # would leave min_slack at inf (min(inf, nan) is inf) and pass silently
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=9))
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=3, epsilon=1e200)
+        with pytest.raises(RunStepError, match=r"^the estimate energy of level 1 is not finite \(inf\)$") as exc_info:
+            run(prob, cfg, observers=(EnergyObserver(),))
+        assert exc_info.value.step == 0
+
+    @pytest.mark.parametrize("m", [9, 127])
+    def test_non_finite_diff_weight_is_unresolved_before_any_solve(self, monkeypatch, m):
+        # tau^2 overflows at tau = 1e200, so R and its rounding bound are not finite
+        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=m))
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=1e200, n_steps=2)
+        obs = EnergyObserver()
+        obs.prepared(prob, cfg, prepare(prob, cfg))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("factored or eigen-solved a non-finite R")
+
+        monkeypatch.setattr(verify, "factor_spd", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert obs.diff_weight_min_eig() is None
 
 
 class TestFactorizedOperatorChecks:
