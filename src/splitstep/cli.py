@@ -249,6 +249,8 @@ def _steps_for_horizon(T: float, tau: float) -> tuple[int, float]:
     """Integer step count; tau is shrunk to the nearest divisor of T if needed."""
     if tau <= 0.0:
         raise ConfigError(f"[scheme] tau={tau} must be positive")
+    if not np.isfinite(T / tau):
+        raise ConfigError(f"[scheme] the step count T/tau={T / tau:g} of tau={tau} must be finite")
     n = max(1, int(np.ceil(T / tau - 1e-9)))
     adjusted = T / n
     if abs(adjusted - tau) > 1e-12 * tau:
@@ -379,8 +381,7 @@ def cmd_converge(args, cp, config_dir: str) -> int:
     for row in report.rows:
         order = "" if row.order is None else f" order={row.order:.3f}"
         _say(args, f"tau={row.tau:.17g} error_a={row.error_a:.6e}{order}")
-    # an error of exactly zero leaves the finest order undefined, judged as compare judges a ratio
-    order = report.rows[-1].order
+    order = report.finest_order  # None, judged as compare judges an undefined ratio
     ok = order is not None and window[0] <= order <= window[1]
     shown = "n/a" if order is None else f"{order:.3f}"
     _say(args, f"finest order {shown} {'within' if ok else 'OUTSIDE'} [{window[0]}, {window[1]}]")

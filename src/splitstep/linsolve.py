@@ -42,19 +42,19 @@ from scipy.linalg import lapack
 
 from .blockops import BlockDims, BlockOperator, BlockVector, DimensionMismatchError, Product, _check_same_dims
 
-# Matrices of this order and above are factored banded; smaller ones are
-# densified and factored dense, where band storage costs more in call
-# overhead than it saves.  Measured on one core of a shared 2-core Xeon
-# (OpenBLAS 0.3.31, scipy 1.17.1) for tridiagonal matrices: a banded solve
-# beats ``cho_solve`` at every order from 16 up (2.4 us against 15 us at
-# n = 62), but building the band storage and factoring costs 50-80 us against
-# 25 us for a dense factor at n = 62; the two factorizations cost the same
-# near n = 127.  Above this order the band wins for every bandwidth: at
-# n = 1024 with bandwidth n - 1 it still factors in 15 ms against 22 ms dense
-# and solves in 0.36 ms against 0.9 ms.  So the bandwidth only chooses the
-# ordering, never the dense path.  Keeping small matrices dense also keeps
-# the N = 62 problems bit-for-bit on the dense LAPACK path the test oracles
-# use.
+# Matrices of this order and above are factored banded; smaller ones are densified
+# and factored dense, which pays for itself in set-up and memory, not in solves.
+# timeit minima on one core of a shared 2-core Xeon (OpenBLAS 0.3.31, scipy 1.17.1)
+# at p = 2, m = 31: C = B + tau/2 A (N = 62) factors in 29 us dense against 76 us
+# banded and solves in 3.5 us against 3.2 us; a 31x31 block, 7 us against 24 us
+# and 1.8 us against 1.0 us.  Banded at every order, the shipped configs ran 6-10%
+# slower in the weighted scheme and 3-8% faster in the others (bench/run.py), took
+# 3 MB more memory (scipy.sparse.csgraph) and moved at rounding level.  A tridiagonal
+# matrix factors as fast either way near n = 80 (at n = 127, 74 us dense, 30 us
+# banded); no shipped config has an order from 80 to 127.  Above this order the band
+# wins at every bandwidth (n = 1024, bandwidth n - 1: 15 ms against 22 ms to factor,
+# 0.36 ms against 0.9 ms to solve), and keeping small matrices dense keeps the N = 62
+# problems bit for bit on the dense LAPACK path the test oracles use.
 SPARSE_MIN_ORDER = 128
 
 # Normwise backward error that ``solve_spd_full`` accepts.

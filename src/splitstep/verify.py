@@ -337,10 +337,11 @@ def run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> lis
     """Recompute the estimate slack of every certified transition of a finished run.
 
     Works from the stored levels alone and evaluates both energies of each
-    transition afresh, so it is an independent route to the numbers the
-    streaming observers produce.  The three-level startup transition
-    produces level 1 by a different recurrence and has no energy bound of
-    its own, so for that scheme the first entry corresponds to the
+    transition afresh, with the same observer class, ``energy`` and
+    ``forcing_term``: it checks the streaming bookkeeping and the norms ``run``
+    attaches, not the energies (``tests/helpers.dense_run_slacks`` does).  The
+    three-level startup transition produces level 1 by another recurrence and
+    has no energy bound of its own, so for that scheme the first entry is the
     transition from (y^1, y^0) to (y^2, y^1).
     """
     if log.states is None:
@@ -434,16 +435,19 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
 
     @property
-    def finest_order(self) -> float:
-        if len(self.rows) < 2 or self.rows[-1].order is None:
+    def finest_order(self) -> Optional[float]:
+        """Order on the finest pair; None where an error of exactly 0 leaves it undefined."""
+        if len(self.rows) < 2:
             raise ValueError("need at least two step sizes to report an order")
         return self.rows[-1].order
 
 
 def steps_for(T: float, tau: float) -> int:
-    """Number of steps of size tau over [0, T]; ValueError unless tau divides T."""
+    """Number of steps of size tau over [0, T]; ValueError unless tau divides T below 2**63 steps."""
     if not tau > 0.0:
         raise ValueError(f"tau={tau} must be positive")
+    if not T / tau < 2**63:
+        raise ValueError(f"the step count T/tau={T / tau:g} of tau={tau} must be finite and at most 2**63 - 1")
     n = round(T / tau)
     if n < 1 or abs(n * tau - T) > 1e-9 * T:
         raise ValueError(f"tau={tau} does not divide the horizon T={T}")

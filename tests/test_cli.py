@@ -7,10 +7,7 @@ import warnings
 from pathlib import Path
 from textwrap import dedent
 
-try:
-    import tomllib
-except ImportError:  # Python 3.10
-    import tomli as tomllib
+import tomllib
 
 import numpy as np
 import pytest
@@ -748,12 +745,21 @@ STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.
         # 10**300 steps: an int past float range, rejected without a float conversion
         ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = 1e-300"), None,
          " must be finite, an integer and at most 2**63 - 1\n"),
+        # T/tau overflows to inf, which no integer conversion takes
+        ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = 1e308"), None,
+         "config error: [scheme] the step count T/tau=inf of tau=0.015625 must be finite\n"),
+        ("converge", CONVERGE_BASE.replace("T = 1.0", "T = 1e308"), None,
+         "config error: [scheme] taus: the step count T/tau=inf of tau=0.25 must be finite and at most 2**63 - 1\n"),
+        ("compare", COMPARE_BASE.replace("T = 1.0", "T = 1e308"), None,
+         "config error: [scheme] taus: the step count T/tau=inf of tau=0.25 must be finite and at most 2**63 - 1\n"),
+        ("converge", CONVERGE_BASE.replace("T = 1.0", "T = 1e20"), None,
+         "config error: [scheme] taus: the step count T/tau=4e+20 of tau=0.25 must be finite and at most 2**63 - 1\n"),
     ],
     ids=[
         "p_zero", "m_zero", "p_not_integer", "tau_nan", "T_nan", "n_steps_word", "n_steps_fraction",
         "n_steps_zero", "tau_negative", "v0_wrong_length", "v0_nan", "v0_not_a_number",
         "amplitudes_wrong_count", "b_dims_differ_from_a", "T_zero", "tau_negative_run", "checks_unknown",
-        "steps_past_int64",
+        "steps_past_int64", "T_overflow_run", "T_overflow_converge", "T_overflow_compare", "ladder_past_int64",
     ],
 )
 def test_malformed_config_is_one_config_error_line(tmp_path, capsys, command, text, v0, fragment):
@@ -807,6 +813,25 @@ def test_unusable_out_is_a_config_error_before_any_run(tmp_path, monkeypatch, ca
     assert main([command, "--config", str(SHIPPED_CONFIGS / config), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and str(out) in err, err
+
+
+def test_epsilon_config_reproduces_the_epsilon_table(tmp_path, capsys):
+    # epsilon = 0.5 at m = 31, tau = 1/64: the row of the former epsilon table,
+    # error and order from converge, r_min_eig and min slack from stability
+    text = (SHIPPED_CONFIGS / "epsilon_three_level.ini").read_text()
+    assert text.count("\nepsilon = 1\n") == 1
+    config = write_config(tmp_path, text.replace("\nepsilon = 1\n", "\nepsilon = 0.5\n"))
+    # an order of 0.766 is outside [0.8, 1.2]: exit 1, and the CSV is still written
+    assert main(["converge", "--config", config, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "tau=0.015625 error_a=8.336392e-03 order=0.766" in out
+    assert "finest order 0.766 OUTSIDE [0.8, 1.2]" in out
+    assert len(read_csv(tmp_path / "converge.csv")[1]) == 2
+    assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_csv(tmp_path / "stability.csv")
+    assert [(row[0], row[1], row[2]) for row in rows] == [("1", "0.03125", "three_level"), ("1", "0.015625", "three_level")]
+    min_slack, r_min_eig = (float(cell) for cell in rows[-1][3:])
+    assert f"{r_min_eig:.4e} {min_slack:.4e}" == "7.7172e-03 1.6375e+01"
 
 
 @pytest.mark.parametrize(

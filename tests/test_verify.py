@@ -484,6 +484,20 @@ def test_opaque_forcing_is_unsupported(observer, kind):
         observed(observer(), opaque, cfg, state)
 
 
+@pytest.mark.parametrize("observer, kind", [(EstimateObserver, "weighted"), (EnergyObserver, "three_level")])
+def test_initial_before_prepared_is_rejected(observer, kind):
+    prob = scalar_problem()
+    cfg = SchemeConfig(kind, sigma=1.0, tau=0.1, n_steps=2)
+    state = SchemeState(1, 0.1, prob.v0, y_prev=prob.v0)
+    with pytest.raises(ValueError, match="prepared must come before initial"):
+        observer().initial(prob, cfg, state)
+
+
+def test_diff_weight_before_prepared_is_rejected():
+    with pytest.raises(ValueError, match="prepared must come first"):
+        EnergyObserver().diff_weight()
+
+
 SPARSE_ORACLE_GRIDS = [(2, 31), (4, 255)]
 
 
@@ -784,6 +798,14 @@ class TestConvergenceStudy:
         cfg = SchemeConfig("weighted", sigma=0.5, tau=0.3, n_steps=1)
         with pytest.raises(ValueError, match="does not divide"):
             convergence_study(manu.problem, cfg, (0.3,))
+
+    def test_zero_error_ladder_has_no_finest_order(self):
+        # a zero solution: every error is exactly 0, so no order is defined
+        manu = manufactured_problem(example_coupled_spec(2, 9), amplitudes=np.zeros(2))
+        cfg = SchemeConfig("weighted", sigma=0.5, tau=0.25, n_steps=4)
+        report = convergence_study(manu.problem, cfg, self.taus)
+        assert [row.error_a for row in report.rows] == [0.0] * 3
+        assert report.finest_order is None
 
     def test_single_row_has_no_order(self):
         manu = manufactured_problem(example_coupled_spec(p=2, m=5))
