@@ -61,6 +61,7 @@ from .schemes import (
     constant_forcing,
     factorized_step,
     forcing_sample,
+    march,
     prepare,
     run,
     three_level_init,

@@ -249,9 +249,10 @@ def _steps_for_horizon(T: float, tau: float) -> tuple[int, float]:
     """Integer step count; tau is shrunk to the nearest divisor of T if needed."""
     if tau <= 0.0:
         raise ConfigError(f"[scheme] tau={tau} must be positive")
-    if not np.isfinite(T / tau):
-        raise ConfigError(f"[scheme] the step count T/tau={T / tau:g} of tau={tau} must be finite")
-    n = max(1, int(np.ceil(T / tau - 1e-9)))
+    count = T / tau
+    if not count < 2**63:
+        raise ConfigError(f"[scheme] the step count T/tau={count:g} of tau={tau} must be finite and at most 2**63 - 1")
+    n = max(1, int(np.ceil(count - 1e-9)))
     adjusted = T / n
     if abs(adjusted - tau) > 1e-12 * tau:
         logger.warning(

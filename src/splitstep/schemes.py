@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -170,12 +170,11 @@ class SchemeState:
     """Discrete state after n transitions: y approximates u(n * tau).
 
     ``y_prev`` is carried only by the three-level scheme from level 1 on.
-    ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``run`` has
-    measured them: a step function's result carries neither until ``run``
-    sets both, before its observers or the next step see it.  A step reuses
+    ``norm_a`` is ||y||_A and ``a_y`` the product A y where ``march`` has
+    measured them: a step function's result carries neither until ``march``
+    sets both, before its caller or the next step sees it.  A step reuses
     ``a_y`` for its residual instead of applying A again; given a state
-    without it (the levels of ``verify.tiny_step_reference``, a bare step
-    call), it applies A itself.
+    without it (a bare step call), it applies A itself.
     """
 
     n: int
@@ -309,7 +308,7 @@ def three_level_init(
     The first level is produced by one weighted step with the same sigma and
     tau, which keeps the overall first-order accuracy and supplies the pair
     (y^1, y^0) the three-level transitions consume.  The step reuses the
-    level's ``a_y`` where ``run`` has measured it.
+    level's ``a_y`` where ``march`` has measured it.
     """
     stepped = weighted_step(problem, cfg, state, workspace.startup, forcing_sample(problem, cfg, 0))
     stepped.y_prev = state.y
@@ -403,6 +402,52 @@ def _step_function(kind: SchemeKind):
     return three_level_step
 
 
+def march(
+    problem: EvolutionProblem, cfg: SchemeConfig, workspace=None
+) -> Iterator[tuple[Optional[BlockVector], SchemeState]]:
+    """Yield ``(phi, state)`` for every level 0..cfg.n_steps, holding only the newest level.
+
+    ``phi`` is the forcing sample of the transition that made the level, None
+    for level 0 and for the three-level startup level; ``workspace`` is that of
+    ``prepare``, made here when not given.  Each level is measured: A y and its
+    A-norm are attached to its state, the one product with A per level, which
+    the next transition's residual reuses.  That is also the divergence guard.
+    The solves do not scan their inputs, but A has a positive diagonal, so a
+    non-finite entry gives a non-finite norm, and so does a finite level too
+    large for (Ay, y) to be represented: either way ``RunStepError`` stops the
+    march at the level, the initial one included, before any caller or
+    transition sees it, with no warning.  A failed transition raises it too.
+    """
+    if workspace is None:
+        workspace = prepare(problem, cfg)
+    state, phi = SchemeState(0, 0.0, problem.v0), None
+    step = _step_function(cfg.kind)
+    while True:
+        a_y = BlockVector._own(state.y.dims, problem.A.product(state.y.to_flat()))
+        norm_a = weighted_norm(problem.A, state.y, a_y)
+        if not math.isfinite(norm_a):
+            if state.n == 0:
+                raise RunStepError(f"initial level v0 is not finite (A-norm {norm_a})", step=0)
+            raise RunStepError(
+                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
+                step=state.n - 1,
+            )
+        state.norm_a, state.a_y = norm_a, a_y
+        yield phi, state
+        if state.n == cfg.n_steps:
+            return
+        startup = cfg.kind is SchemeKind.THREE_LEVEL and state.n == 0
+        phi = None if startup else forcing_sample(problem, cfg, state.n)
+        try:
+            if startup:
+                state = three_level_init(problem, cfg, workspace, state)
+            else:
+                state = step(problem, cfg, state, workspace, phi=phi)
+        except Exception as err:
+            name = "startup transition" if startup else "transition"
+            raise RunStepError(f"{name} {state.n} -> {state.n + 1} failed: {err}", step=state.n) from err
+
+
 def run(
     problem: EvolutionProblem,
     cfg: SchemeConfig,
@@ -415,60 +460,16 @@ def run(
         obs.prepared(problem, cfg, workspace)
     records: list[RunRecord] = []
     states: list[BlockVector] = []
-
-    def measured(state: SchemeState) -> SchemeState:
-        """The level with A y and its A-norm attached to its state, run's own; the divergence guard.
-
-        The one product with A per level, on the flat level: the next
-        transition's residual reuses it.  The solves do not scan their
-        inputs.  A has a positive diagonal, so a non-finite entry gives a
-        non-finite norm, and so does a finite level too large for (Ay, y) to be
-        represented: either way the run stops at the level, the initial one
-        included, before any observer or transition sees it, with no warning.
-        """
-        a_y = BlockVector._own(state.y.dims, problem.A.product(state.y.to_flat()))
-        norm_a = weighted_norm(problem.A, state.y, a_y)
-        if not math.isfinite(norm_a):
-            if state.n == 0:
-                raise RunStepError(f"initial level v0 is not finite (A-norm {norm_a})", step=0)
-            raise RunStepError(
-                f"transition {state.n - 1} -> {state.n} produced a non-finite level (A-norm {norm_a})",
-                step=state.n - 1,
-            )
-        state.norm_a, state.a_y = norm_a, a_y
-        return state
-
-    def record(state: SchemeState, extras: dict):
+    first, prev = (1 if cfg.kind is SchemeKind.THREE_LEVEL else 0), None
+    for phi, state in march(problem, cfg, workspace):
+        extras: dict = {}
+        for obs in observers:
+            if phi is not None:
+                extras.update(obs.transition(problem, cfg, prev, state, phi))
+            elif state.n == first:
+                extras.update(obs.initial(problem, cfg, state))
         records.append(RunRecord(state.n, state.t, state.norm_a, extras))
         if keep_states:
             states.append(state.y)
-
-    state = measured(SchemeState(0, 0.0, problem.v0))
-    remaining = cfg.n_steps
-    if cfg.kind is SchemeKind.THREE_LEVEL:
-        record(state, {})
-        try:
-            state = three_level_init(problem, cfg, workspace, state)
-        except Exception as err:
-            raise RunStepError(f"startup transition 0 -> 1 failed: {err}", step=0) from err
-        state = measured(state)
-        remaining -= 1
-    extras: dict = {}
-    for obs in observers:
-        extras.update(obs.initial(problem, cfg, state))
-    record(state, extras)
-
-    step = _step_function(cfg.kind)
-    for _ in range(remaining):
-        phi = forcing_sample(problem, cfg, state.n)
-        try:
-            new = step(problem, cfg, state, workspace, phi=phi)
-        except Exception as err:
-            raise RunStepError(f"transition {state.n} -> {state.n + 1} failed: {err}", step=state.n) from err
-        new = measured(new)
-        extras = {}
-        for obs in observers:
-            extras.update(obs.transition(problem, cfg, state, new, phi))
-        record(new, extras)
-        state = new
-    return RunLog(tuple(records), tuple(states) if keep_states else None, state.y)
+        prev = state
+    return RunLog(tuple(records), tuple(states) if keep_states else None, prev.y)

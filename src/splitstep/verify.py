@@ -43,10 +43,9 @@ from .schemes import (
     SchemeKind,
     SchemeState,
     _factorized_solve,
-    forcing_sample,
+    march,
     prepare,
     run,
-    weighted_step,
 )
 
 
@@ -162,7 +161,7 @@ class _LevelObserver(RunObserver):
         return self._last
 
     def _finite_energy(self, state: SchemeState) -> float:
-        """The level's energy; a non-finite one stops the run at the level, as ``run``'s guard does."""
+        """The level's energy; a non-finite one stops the run at the level, as ``march``'s guard does."""
         energy = self.energy(state)
         if not math.isfinite(energy):
             message = f"the estimate energy of level {state.n} is not finite ({energy})"
@@ -184,7 +183,7 @@ class EstimateObserver(_LevelObserver):
     ``factor_spd``, and W = P - (tau/2) A for the factorized one, P its
     transition operator, solved by CG.  An indefinite W (possible out of
     hypothesis) raises ``NotPositiveDefiniteError``.  The energy of a level
-    is the square of the A-norm ``run`` attaches to it.
+    is the square of the A-norm ``march`` attaches to it.
     """
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
@@ -201,7 +200,7 @@ class EstimateObserver(_LevelObserver):
         self._solve_forcing(solve, apply)
 
     def energy(self, state: SchemeState) -> float:
-        """||y^n||_A^2, from the norm ``run`` attached to the state if there is one."""
+        """||y^n||_A^2, from the norm ``march`` attached to the state if there is one."""
         norm_a = weighted_norm(self._problem.A, state.y) if state.norm_a is None else state.norm_a
         return norm_a**2
 
@@ -241,7 +240,7 @@ class EnergyObserver(_LevelObserver):
     def energy(self, state: SchemeState) -> float:
         """E_n of the pair (y^n, y^{n-1}) as (A y^n, y^{n-1}) + (tau/(2 eps)) (||C2 r||^2 + eps^2 ||r||^2),
         r = (y^n - y^{n-1})/tau: for symmetric A, ||(y + y')/2||_A^2 - (tau^2/4) (A r, r) = (A y, y'),
-        and (C1 C2 r, r) = ||C2 r||^2.  A y^n is the product ``run`` attached to the
+        and (C1 C2 r, r) = ||C2 r||^2.  A y^n is the product ``march`` attached to the
         state (applied afresh for a bare one), and C2 r = (C2 + eps E) r - eps r."""
         if state.y_prev is None:
             raise ValueError("three-level energy needs a state carrying its previous level")
@@ -338,7 +337,7 @@ def run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> lis
 
     Works from the stored levels alone and evaluates both energies of each
     transition afresh, with the same observer class, ``energy`` and
-    ``forcing_term``: it checks the streaming bookkeeping and the norms ``run``
+    ``forcing_term``: it checks the streaming bookkeeping and the norms ``march``
     attaches, not the energies (``tests/helpers.dense_run_slacks`` does).  The
     three-level startup transition produces level 1 by another recurrence and
     has no energy bound of its own, so for that scheme the first entry is the
@@ -399,19 +398,17 @@ def reference_solution(problem: EvolutionProblem, t: float) -> BlockVector:
 
 
 def tiny_step_reference(problem: EvolutionProblem, t: float, tau_ref: float) -> BlockVector:
-    """Brute-force reference: half-weight stepping with a very small step.
+    """Brute-force reference: the last level of a half-weight march with a very small step.
 
     Independent of the modal route; the two must agree to the square of the
-    tiny step times the solution scale.
+    tiny step times the solution scale.  A failed or non-finite level raises
+    ``RunStepError`` with its step, as ``run`` does.
     """
     if not t > 0.0:
         return problem.v0
     n = max(1, round(t / tau_ref))
-    cfg = SchemeConfig(SchemeKind.WEIGHTED, sigma=0.5, tau=t / n, n_steps=n)
-    workspace = prepare(problem, cfg)
-    state = SchemeState(0, 0.0, problem.v0)
-    for k in range(n):
-        state = weighted_step(problem, cfg, state, workspace, forcing_sample(problem, cfg, k))
+    for _, state in march(problem, SchemeConfig(SchemeKind.WEIGHTED, sigma=0.5, tau=t / n, n_steps=n)):
+        pass
     return state.y
 
 
@@ -508,8 +505,9 @@ def compare_schemes(
 ) -> CompareReport:
     """Trajectory gap between the weighted and factorized schemes per step size.
 
-    Both schemes run from the same data with the same sigma; the per-level
-    A-norm difference is maxed over the whole horizon.
+    Both schemes march in lockstep from the same data with the same sigma,
+    so only their current levels are held; the per-level A-norm difference
+    is maxed over the whole horizon.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     rows: list[CompareRow] = []
@@ -517,10 +515,9 @@ def compare_schemes(
         n = steps_for(problem.T, tau)
         cfg_w = replace(cfg_base, kind=SchemeKind.WEIGHTED, tau=tau, n_steps=n)
         cfg_f = replace(cfg_base, kind=SchemeKind.FACTORIZED, tau=tau, n_steps=n)
-        log_w = run(problem, cfg_w, keep_states=True)
-        log_f = run(problem, cfg_f, keep_states=True)
-        diffs = [
-            weighted_norm(problem.A, yw - yf) for yw, yf in zip(log_w.states, log_f.states)
-        ]
-        rows.append(CompareRow(tau, n, max(diffs), diffs[-1]))
+        max_gap = 0.0  # the gap of level 0, where both march from v0
+        for (_, w), (_, f) in zip(march(problem, cfg_w), march(problem, cfg_f)):
+            gap = weighted_norm(problem.A, w.y - f.y)
+            max_gap = max(max_gap, gap)
+        rows.append(CompareRow(tau, n, max_gap, gap))
     return CompareReport(cfg_base.sigma, tuple(rows))

@@ -742,12 +742,12 @@ STABILITY_RUN = STABILITY_WEIGHTED.replace("sigmas = 0 0.25 0.5 1", "sigmas = 0.
          "config error: [scheme] tau=-0.015625 must be positive\n"),
         ("run", MANUFACTURED_RUN + "\n    [output]\n    checks = maybe\n", None,
          "config error: [output] checks='maybe' unknown; expected auto or none\n"),
-        # 10**300 steps: an int past float range, rejected without a float conversion
+        # 10**300 steps: past 2**63 - 1, rejected before any integer is made of it
         ("run", MANUFACTURED_RUN.replace("tau = 1/64", "tau = 1e-300"), None,
-         " must be finite, an integer and at most 2**63 - 1\n"),
+         "config error: [scheme] the step count T/tau=1e+300 of tau=1e-300 must be finite and at most 2**63 - 1\n"),
         # T/tau overflows to inf, which no integer conversion takes
         ("run", MANUFACTURED_RUN.replace("T = 1.0", "T = 1e308"), None,
-         "config error: [scheme] the step count T/tau=inf of tau=0.015625 must be finite\n"),
+         "config error: [scheme] the step count T/tau=inf of tau=0.015625 must be finite and at most 2**63 - 1\n"),
         ("converge", CONVERGE_BASE.replace("T = 1.0", "T = 1e308"), None,
          "config error: [scheme] taus: the step count T/tau=inf of tau=0.25 must be finite and at most 2**63 - 1\n"),
         ("compare", COMPARE_BASE.replace("T = 1.0", "T = 1e308"), None,

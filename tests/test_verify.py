@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -751,6 +752,15 @@ class TestTinyStepReference:
         got = tiny_step_reference(prob, 1.0, 1e-4).parts[0][0]
         assert got == pytest.approx(math.exp(-2.0), abs=1e-7)
 
+    def test_failed_level_raises_with_its_step(self):
+        # the forcing turns NaN past t = 1/2: transition 32 samples it at t = 32.5/64
+        base = manufactured_problem(example_coupled_spec(2, 15)).problem
+        nan = BlockVector(base.dims, np.full(base.dims.total, np.nan))
+        prob = replace(base, forcing=lambda t: nan if t > 0.5 else base.forcing(t))
+        with pytest.raises(RunStepError) as info:
+            tiny_step_reference(prob, prob.T, tau_ref=1 / 64)
+        assert info.value.step == 32
+
 
 class TestConvergenceStudy:
     taus = (0.25, 0.125, 0.0625)
@@ -895,3 +905,22 @@ def test_convergence_study_keeps_no_states(monkeypatch):
     report = convergence_study(prob, SchemeConfig("weighted", sigma=0.5, tau=0.25, n_steps=4), [0.25, 0.125])
     assert asked == [False, False]
     assert report.rows[-1].error_a > 0.0 and 1.8 < report.rows[-1].order < 2.2
+
+
+def test_compare_schemes_keeps_no_level():
+    # the two schemes march in lockstep, so the peak does not grow with T/tau:
+    # a ladder of 8x the steps may hold only a few levels more than the coarse one
+    prob = manufactured_problem(example_coupled_spec(p=2, m=2047)).problem
+    cfg = SchemeConfig("weighted", sigma=0.5, tau=1 / 8, n_steps=8)
+    level = 8 * prob.dims.total
+
+    def peak(taus):
+        tracemalloc.start()
+        try:
+            compare_schemes(prob, cfg, taus)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    coarse, fine = peak((1 / 8, 1 / 16)), peak((1 / 64, 1 / 128))
+    assert fine <= coarse + 4 * level, (coarse / level, fine / level)
