@@ -474,16 +474,18 @@ def weighted_norm(D: BlockOperator, x: BlockVector, d_x: Optional[BlockVector] =
 def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator, shift: float = 0.0) -> BlockOperator:
     """Blockwise a*M + b*N + shift*I, each block with one CSR constructor (``_combine``).
 
-    The result carries the union of both sparsity patterns, plus the
-    diagonal blocks when ``shift`` is nonzero; a zero shift adds nothing.
+    The result carries the union of the sparsity patterns of the terms whose
+    coefficient is nonzero, plus the diagonal blocks when ``shift`` is nonzero:
+    a zero coefficient or shift adds nothing, so B + 0*A has B's pattern.
     """
     _check_same_dims(M.dims, N.dims)
-    keys = set(M.blocks) | set(N.blocks)
+    ops = [(coef, op) for coef, op in ((a, M), (b, N)) if coef]
+    keys = set().union(*(op.blocks for _, op in ops))
     if shift:
         keys |= {(r, r) for r in range(M.dims.p)}
     blocks = {}
     for r, c in sorted(keys):
-        terms = [(coef, op.blocks[(r, c)]) for coef, op in ((a, M), (b, N)) if (r, c) in op.blocks]
+        terms = [(coef, op.blocks[(r, c)]) for coef, op in ops if (r, c) in op.blocks]
         if shift and r == c:
             terms.append((shift, _identity_parts(M.dims.sizes[r])))
         blocks[(r, c)] = _combine((M.dims.sizes[r], M.dims.sizes[c]), terms)

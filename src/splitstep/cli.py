@@ -408,8 +408,8 @@ def _stability_cell(problem, cfg: SchemeConfig):
             pass  # a breakdown, or a weight indefinite out of hypothesis: nothing to measure
         r_eig = None
         if cfg.kind is SchemeKind.THREE_LEVEL:
-            # R comes from the run's workspace, kept even past a broken startup step
-            r_eig = observer.diff_weight_min_eig()
+            # R's margin comes from the run's workspace, kept even past a broken startup step
+            r_eig = observer.diff_weight_margin()
             r_eig = "unresolved" if r_eig is None else r_eig
     if not cfg.in_hypothesis:
         status = "n/a(hypothesis)"

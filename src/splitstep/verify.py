@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from .blockops import BlockOperator, BlockVector, CertificateError, weighted_norm
+from .blockops import BlockVector, CertificateError, lincomb, weighted_norm
 from .linsolve import (
     SPARSE_MIN_ORDER, DiagFactorization, NotPositiveDefiniteError, SolveFailureError, factor_spd
 )
@@ -58,12 +57,6 @@ def _exponential_terms(problem: EvolutionProblem, purpose: str) -> tuple:
         name = type(problem.forcing).__name__
         raise UnsupportedForcingError(f"{purpose} requires an exponential-sum forcing; got {name}")
     return problem.forcing.terms
-
-
-def _whole(op: BlockOperator):
-    """The operator as one matrix: dense below ``SPARSE_MIN_ORDER``, CSR above,
-    the crossover of ``factor_spd`` (at N = 62 CSR weights measured slower)."""
-    return op.to_dense() if op.dims.total < SPARSE_MIN_ORDER else op.to_sparse()
 
 
 # CG on the factorized weight stops once an increment of (W^{-1} v, v) is this
@@ -193,8 +186,8 @@ class EstimateObserver(_LevelObserver):
             raise ValueError(f"two-level estimate does not apply to kind {cfg.kind.value!r}")
         self.prepared(problem, cfg, workspace)
         if cfg.kind is SchemeKind.WEIGHTED:
-            w = _whole(problem.B) + (cfg.sigma - 0.5) * cfg.tau * _whole(problem.A)
-            solve, apply = factor_spd(w, context="estimate weight").solve, (lambda x: w @ x)
+            w = lincomb(1.0, problem.B, (cfg.sigma - 0.5) * cfg.tau, problem.A)
+            solve, apply = factor_spd(w, context="estimate weight").solve, w.product
         else:
             solve, apply = _factorized_weight(problem, cfg, workspace)
         self._solve_forcing(solve, apply)
@@ -225,7 +218,8 @@ class EnergyObserver(_LevelObserver):
     operators, so no run assembles R: its entries grow like (sigma tau k/h^2)^2,
     and from m = 16383 up their rounding swamped the O(1) energy.  C and its
     factor are those of the workspace's startup step.  R is not checked
-    positive definite, so out-of-hypothesis sigma can be probed.
+    positive definite, so out-of-hypothesis sigma can be probed;
+    ``diff_weight_margin`` measures it.
     """
 
     def assemble(self, problem: EvolutionProblem, cfg: SchemeConfig, workspace) -> None:
@@ -252,77 +246,43 @@ class EnergyObserver(_LevelObserver):
         squares = float(c2_rate @ c2_rate) + eps * eps * float(rate @ rate)
         return float(a_y.to_flat() @ y_prev) + (tau / (2.0 * eps)) * squares
 
-    def diff_weight(self):
-        """R, built from the kept workspace on demand (no run needs it): dense
-        below ``SPARSE_MIN_ORDER``, CSR above.  R = (tau/(2 eps)) (C1 + eps E)(C2 + eps E)
-        - (tau/2) C - (tau^2/4) A, as (C1 + eps E)(C2 + eps E) = C1 C2 + eps C + eps^2 I."""
+    def diff_weight_margin(self) -> Optional[float]:
+        """mu = tau/(2 eps) - lambda_max(G^{-1} M G^{-T}), or None where it is unresolved.
+
+        With G = C1 + eps E (the workspace's lower sweep operator, G^T its upper one)
+        and M = (tau/2) C + (tau^2/4) A, R = (tau/(2 eps)) G G^T - M, so mu is the largest
+        number with R >= mu G G^T and, by congruence, has the sign of R's smallest
+        eigenvalue.  R is never formed: its entries grow like (sigma tau k/h^2)^2 tau/eps,
+        and subtracting at that scale for an eigenvalue of size tau/eps loses the digits.
+        Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``; above it, Lanczos iteration
+        (``eigsh``, from a seeded start, so every run gives the same digits) on the upper
+        sweep, a product with M and the lower sweep.  None where G or M has a non-finite
+        entry, checked before any solve, and where the iteration does not converge.
+        """
         if self._workspace is None:
             raise ValueError("the difference weight needs the run's workspace: prepared must come first")
-        ws, tau, eps = self._workspace, self._cfg.tau, self._cfg.epsilon
-        product = (tau / (2.0 * eps)) * (_whole(ws.split.lower) @ _whole(ws.split.upper))
-        return product - (0.5 * tau) * _whole(ws.startup.shifted) - (0.25 * tau * tau) * _whole(self._problem.A)
-
-    def diff_weight_min_eig(self) -> Optional[float]:
-        """Smallest eigenvalue of R, or None where R's rounding decides it.
-
-        The built R is off by up to about u ||R||_inf, u = 2^-53 (at most
-        1.04 u ||R||_inf measured for m from 31 to 16383): below
-        delta = 8 u ||R||_inf, |lambda| has neither a resolved size nor a
-        resolved sign, and a non-finite R, whose delta is infinite, is None
-        before any factorization.  Dense ``eigvalsh`` below ``SPARSE_MIN_ORDER``.  Above
-        it, Cholesky factorizations of R - delta I and R + delta I settle that
-        first: None when only the second succeeds, with no eigen-iteration.
-        Otherwise Lanczos iteration (``eigsh``) on (R - s I)^{-1} with a shift
-        s below the spectrum, certified by a factorization of R - s I that
-        succeeds: s = 0 when R - delta I is positive definite.  When R + delta I
-        is not, s starts at twice a Gershgorin lower bound and is bisected
-        towards 0 until it lies within 1% of the smallest eigenvalue, so the
-        iteration does not crawl through a spectrum seen from far below.
-        """
-        r = self.diff_weight()
-        row_sums = abs(r).sum(axis=1)
-        rounding = 8.0 * 2.0**-53 * float(row_sums.max())
-        if not math.isfinite(rounding):
-            return None
-        if not sp.issparse(r):
-            lam = float(np.linalg.eigvalsh(r)[0])
-            return lam if abs(lam) > rounding else None
-        # imported here: only large difference weights need it
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        eye = sp.eye_array(r.shape[0], format="csr")
-
-        def factor_below(s):
-            """A factor of R - s I, or None when s is not below R's spectrum."""
-            try:
-                return factor_spd(r - s * eye, context="difference weight")
-            except NotPositiveDefiniteError:
+        split, c, a = self._workspace.split, self._workspace.startup.shifted, self._problem.A
+        tau, eps, n = self._cfg.tau, self._cfg.epsilon, a.dims.total
+        if n < SPARSE_MIN_ORDER:
+            # M's entries as lincomb gives them, without its CSR blocks (about 0.2 ms at N = 62)
+            g, m = split.lower.to_dense(), 0.5 * tau * c.to_dense() + 0.25 * tau * tau * a.to_dense()
+            if not (np.isfinite(g).all() and np.isfinite(m).all()):
                 return None
-
-        if factor_below(rounding) is not None:
-            shift, factor = 0.0, factor_spd(r, context="difference weight")
-        elif factor_below(-rounding) is not None:
+            g_inv = np.linalg.inv(g)
+            return tau / (2.0 * eps) - float(np.linalg.eigvalsh(g_inv @ m @ g_inv.T)[-1])
+        m = lincomb(0.5 * tau, c, 0.25 * tau * tau, a)
+        if not (math.isfinite(split.lower.absmax()) and math.isfinite(m.absmax())):
             return None
-        else:
-            diag = r.diagonal()
-            gershgorin = float((diag + abs(diag) - row_sums).min())
-            shift = 2.0 * min(gershgorin, 0.0)
-            factor = factor_spd(r - shift * eye, context="difference weight below its spectrum")
-            upper = 0.0
-            # the bracket starts at most 2 ||R||_inf wide, and 64 halvings take it
-            # below the ~1e-16 ||R|| that the Cholesky test can resolve
-            for _ in range(64):
-                if upper - shift <= 0.01 * abs(shift):
-                    break
-                trial = 0.5 * (shift + upper)
-                below = factor_below(trial)
-                if below is None:
-                    upper = trial
-                else:
-                    shift, factor = trial, below
-        inverse = LinearOperator(r.shape, matvec=factor.solve, dtype=float)
-        (lam,) = eigsh(r, k=1, sigma=shift, which="LM", OPinv=inverse, return_eigenvectors=False)
-        return float(lam) if abs(lam) > rounding else None
+        # imported here: only large problems need it, and it costs about 0.26 s
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        lower, upper = split.diag.sweep(split.lower, False), split.diag.sweep(split.upper, True)
+        congruent = LinearOperator((n, n), matvec=lambda x: lower(m.product(upper(x))), dtype=float)
+        try:
+            (nu,) = eigsh(congruent, k=1, which="LA", tol=1e-10, return_eigenvectors=False, rng=0)
+        except ArpackNoConvergence:
+            return None
+        return tau / (2.0 * eps) - float(nu)
 
     def initial(self, problem, cfg, state):
         return {"energy": self._start(problem, cfg, state)}

@@ -319,6 +319,33 @@ def modal_three_level_energy(spec, cfg: SchemeConfig, y: np.ndarray, y_prev: np.
     return (s @ s) * float(c_prev @ K @ c + cfg.tau / (2.0 * eps) * (np.sum((U @ rho) ** 2) + eps**2 * rho @ rho))
 
 
+def modal_diff_weight_margin(spec, cfg: SchemeConfig) -> float:
+    """mu = min over j of tau/(2 eps) - lambda_max(G_j^{-1} M_j G_j^{-T}): the margin of the
+    three-level difference weight R of ``build_coupled_diffusion(spec)`` against G G^T,
+    G = C1 + eps E, from p-by-p tables per sine mode and numpy alone.
+
+    The sine modes s_j diagonalize every block: the second difference acts on s_j
+    as lambda_j = (4/h^2) sin^2(j pi h/2), so A acts on the coefficients of s_j as
+    K_j = k lambda_j + r, B as b, G as G_j = tril(b) + sigma tau tril(K_j) + eps I,
+    tril(X) the lower triangle of X with half its diagonal, and M = (tau/2) C
+    + (tau^2/4) A as M_j = (tau/2) (b + sigma tau K_j) + (tau^2/4) K_j.
+    """
+
+    def tril(x):
+        return np.tril(x, -1) + 0.5 * x * np.eye(spec.p)
+
+    st, tau, eps = cfg.sigma * cfg.tau, cfg.tau, cfg.epsilon
+    j = np.arange(1, spec.m + 1)
+    lam = 4.0 / spec.h**2 * np.sin(j * np.pi * spec.h / 2.0) ** 2
+    K = lam[:, None, None] * spec.k + spec.r
+    G = tril(spec.b) + st * tril(K) + eps * np.eye(spec.p)
+    M = 0.5 * tau * (spec.b + st * K) + 0.25 * tau * tau * K
+    g_inv = np.linalg.inv(G)
+    congruent = g_inv @ M @ np.swapaxes(g_inv, 1, 2)
+    nu = np.linalg.eigvalsh(0.5 * (congruent + np.swapaxes(congruent, 1, 2)))[:, -1]
+    return tau / (2.0 * eps) - float(nu.max())
+
+
 def dense_run_slacks(problem: EvolutionProblem, cfg: SchemeConfig, log: RunLog) -> list[float]:
     """The estimate slack of every certified transition of a run, from dense
     operators; the same transitions ``verify.run_slacks`` covers."""

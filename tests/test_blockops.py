@@ -484,6 +484,12 @@ class TestCombine:
         upper = BlockOperator(A.dims, {(0, 1): A.block(0, 1)})
         assert set(lincomb(1.0, upper, 1.0, upper, shift=2.0).blocks) == {(0, 0), (0, 1), (1, 1), (2, 2)}
         assert set(lincomb(1.0, upper, 1.0, upper).blocks) == {(0, 1)}
+        # a zero coefficient brings in nothing: B + 0*A is B, blocks and entries
+        _, diag_b = assemble_operators(example_coupled_spec(p=3, m=7))
+        out = lincomb(1.0, diag_b, 0.0, A)
+        assert set(out.blocks) == set(diag_b.blocks)
+        for key, blk in out.blocks.items():
+            _assert_same_csr(blk, diag_b.block(*key), key)
 
     def test_assembled_blocks_match_scipy(self):
         # zero k or zero r entries: k*L + r*I still goes through the sum, which drops zeros

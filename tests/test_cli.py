@@ -11,6 +11,7 @@ import tomllib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import splitstep
 import splitstep.cli as cli
@@ -553,8 +554,8 @@ class TestStabilityCommand:
     def test_three_level_sweep_at_m16383(self, tmp_path, capsys):
         # the shipped problem at M = 16383: the energy read off the step's own
         # operators certifies every cell, where the assembled R gave a min
-        # slack of -1061 at tau = 1; R's rounding there exceeds its smallest
-        # eigenvalue, which the table says instead of printing a number
+        # slack of -1061 at tau = 1; R's margin, read off the same operators,
+        # is a positive number in every cell
         config = write_config(
             tmp_path,
             """\
@@ -577,8 +578,7 @@ class TestStabilityCommand:
         statuses = [line.split()[-1] for line in capsys.readouterr().out.splitlines() if "status=" in line]
         assert statuses == ["status=ok"] * 3
         _, rows = read_csv(tmp_path / "stability.csv")
-        assert [row[4] for row in rows[1:]] == ["unresolved", "unresolved"]
-        assert float(rows[0][4]) > 0.0
+        assert all(float(row[4]) > 0.0 for row in rows)
 
     def test_three_level_estimate_built_once_per_cell(self, tmp_path, monkeypatch):
         # the r_min_eig column reads the observer's weights, not a second set
@@ -597,19 +597,46 @@ class TestStabilityCommand:
         assert all(row[4] != "" for row in rows)
 
     def test_overflow_fails_or_leaves_r_unresolved(self, tmp_path, capsys):
-        # eps^2 (in the energy) and tau^2 (in R) overflow at 1e200: a certified cell
-        # whose energy is infinite fails, and an R that is not finite is unresolved
+        # eps^2 (in the energy) and tau^2 (in M = (tau/2) C + (tau^2/4) A) overflow at
+        # 1e200: a certified cell whose energy is infinite fails, and a margin whose M
+        # is not finite is unresolved.  At eps = 1e200, G = C1 + eps E and M stay
+        # finite, G^{-1} M G^{-T} underflows to 0, and the margin is tau/(2 eps)
         config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("epsilon = 1.0", "epsilon = 1e200"))
         assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
         assert capsys.readouterr().err == ""
         _, rows = read_csv(tmp_path / "stability.csv")
         certified = [row for row in rows if float(row[0]) >= 1.0]
-        assert certified and all(row[3] == "" and row[4] == "unresolved" for row in certified)
+        assert certified and all(row[3] == "" for row in certified)
+        assert [float(row[4]) for row in rows] == pytest.approx([float(row[1]) / 2e200 for row in rows], rel=1e-15)
         config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("taus = 0.01 0.1", "taus = 0.01 1e200"))
         main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"])
         assert capsys.readouterr().err == ""
         _, rows = read_csv(tmp_path / "stability.csv")
         assert [row[4] == "unresolved" for row in rows] == [False, True, False, True]
+
+    def test_unconverged_margin_is_unresolved_and_the_sweep_goes_on(self, tmp_path, monkeypatch, capsys):
+        # N = 254 takes the Lanczos branch; an iteration that does not converge
+        # leaves its cell unresolved, and neither stops the sweep nor changes the verdict
+        config = write_config(tmp_path, STABILITY_THREE_LEVEL.replace("m = 9", "m = 127"))
+        code = main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"])
+        _, want = read_csv(tmp_path / "stability.csv")
+        calls, real_eigsh = [], scipy.sparse.linalg.eigsh
+
+        def second_fails(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_fails)
+        assert main(["stability", "--config", config, "--out", str(tmp_path), "--quiet"]) == code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "stability.csv")
+        assert len(calls) == len(rows) == len(want) == 4
+        assert [row[:4] for row in rows] == [row[:4] for row in want]
+        assert rows[1][4] == "unresolved"
+        # the Lanczos start is seeded, so every other cell gives the same digits again
+        assert rows[:1] + rows[2:] == want[:1] + want[2:]
 
     def test_three_level_sweep_needs_two_steps(self, tmp_path, capsys):
         # one step runs only the uncertified startup transition
@@ -831,7 +858,7 @@ def test_epsilon_config_reproduces_the_epsilon_table(tmp_path, capsys):
     _, rows = read_csv(tmp_path / "stability.csv")
     assert [(row[0], row[1], row[2]) for row in rows] == [("1", "0.03125", "three_level"), ("1", "0.015625", "three_level")]
     min_slack, r_min_eig = (float(cell) for cell in rows[-1][3:])
-    assert f"{r_min_eig:.4e} {min_slack:.4e}" == "7.7172e-03 1.6375e+01"
+    assert f"{r_min_eig:.4e} {min_slack:.4e}" == "6.7158e-03 1.6375e+01"
 
 
 @pytest.mark.parametrize(
@@ -998,6 +1025,34 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run.csv").exists()
+
+
+def test_shipped_commands_import_no_sparse_solvers(tmp_path):
+    # scipy.sparse.linalg (about 0.26 s to import) and scipy.sparse.csgraph are
+    # imported only by orders from SPARSE_MIN_ORDER up; none of the shipped configs has one
+    package_root = str(Path(splitstep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    commands = [
+        [command, "--config", str(SHIPPED_CONFIGS / config), "--out", str(tmp_path), "--quiet"]
+        for command, config in [
+            ("run", "run_manufactured.ini"),
+            ("converge", "converge_weighted.ini"),
+            ("stability", "stability_three_level.ini"),
+            ("compare", "compare_schemes.ini"),
+        ]
+    ]
+    script = dedent(
+        f"""\
+        import sys
+        from splitstep.cli import main
+        for argv in {commands!r}:
+            assert main(argv) == 0, argv
+        print(sorted(name for name in ("scipy.sparse.linalg", "scipy.sparse.csgraph") if name in sys.modules))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_spaced_table_row_separator_is_not_a_comment(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 import scipy.sparse._base as sp_base
 from hypothesis import given, strategies as st
 
@@ -54,6 +55,7 @@ from helpers import (
     factorized_operator_identity_error,
     factorized_operator_psd_margin,
     longdouble_three_level_energy,
+    modal_diff_weight_margin,
     modal_forcing_term,
     modal_three_level_energy,
     random_problem,
@@ -70,6 +72,13 @@ def observed(observer, prob, cfg, state=None):
     observer.prepared(prob, cfg, prepare(prob, cfg))
     observer.initial(prob, cfg, state or SchemeState(0, 0.0, prob.v0))
     return observer
+
+
+def observed_margin(prob, cfg):
+    """``diff_weight_margin`` of an observer prepared with a fresh workspace, as ``run`` prepares it."""
+    obs = EnergyObserver()
+    obs.prepared(prob, cfg, prepare(prob, cfg))
+    return obs.diff_weight_margin()
 
 
 def scalar(value):
@@ -180,13 +189,23 @@ class TestThreeLevelEstimate:
 
     def test_scalar_difference_weight(self):
         # C1 = C2 = 0.5 + 0.1 = 0.6, D = 0.05 * (0.36 + 1) = 0.068,
-        # R = 0.068 - 0.0025 * 2 = 0.063
+        # R = 0.068 - 0.0025 * 2 = 0.063; G = C1 + eps = 1.6, so mu = R / G^2
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
         cfg = SchemeConfig("three_level", **self.scalar_cfg)
         obs = EnergyObserver()
         obs.assemble(prob, cfg, prepare(prob, cfg))
-        assert obs.diff_weight()[0, 0] == pytest.approx(0.063, abs=1e-15)
-        assert obs.diff_weight_min_eig() == pytest.approx(0.063, abs=1e-15)
+        assert dense_diff_weight(prob, cfg)[0, 0] == pytest.approx(0.063, abs=1e-15)
+        assert obs.diff_weight_margin() == pytest.approx(0.063 / 1.6**2, abs=1e-15)
+
+    def test_diff_weight_margin_matches_modal_at_m31(self):
+        # below SPARSE_MIN_ORDER, in and out of hypothesis
+        spec = example_porosity_spec(p=2, m=31)
+        prob = build_coupled_diffusion(spec)
+        for sigma in (0.25, 0.5, 1.0):
+            for tau in (0.01, 0.1, 1.0):
+                cfg = SchemeConfig("three_level", sigma=sigma, tau=tau, n_steps=2)
+                mu = observed_margin(prob, cfg)
+                assert mu == pytest.approx(modal_diff_weight_margin(spec, cfg), rel=1e-12)
 
     def test_scalar_energy_ladder(self):
         prob = scalar_problem(a=2.0, b=1.0, v0=1.0)
@@ -216,7 +235,7 @@ class TestThreeLevelEstimate:
             weighted_norm(prob.A, v) ** 2, rel=1e-12
         )
         # antisymmetric history: only the difference term survives
-        r = obs.diff_weight()
+        r = dense_diff_weight(prob, cfg)
         rate = (2.0 / cfg.tau) * v.to_flat()
         assert obs.energy(SchemeState(1, cfg.tau, v, y_prev=-1.0 * v)) == pytest.approx(
             float(rate @ r @ rate), rel=1e-12
@@ -239,19 +258,21 @@ class TestThreeLevelEstimate:
 
     @pytest.mark.parametrize("m", [9, 127])
     def test_non_finite_diff_weight_is_unresolved_before_any_solve(self, monkeypatch, m):
-        # tau^2 overflows at tau = 1e200, so R and its rounding bound are not finite
+        # tau^2 overflows at tau = 1e200, so M = (tau/2) C + (tau^2/4) A is not finite;
+        # m = 9 takes the dense branch, m = 127 the Lanczos one
         prob = build_coupled_diffusion(example_porosity_spec(p=2, m=m))
         cfg = SchemeConfig("three_level", sigma=1.0, tau=1e200, n_steps=2)
         obs = EnergyObserver()
         obs.prepared(prob, cfg, prepare(prob, cfg))
 
         def no_solve(*args, **kwargs):
-            raise AssertionError("factored or eigen-solved a non-finite R")
+            raise AssertionError("solved with or eigen-solved a non-finite M")
 
-        monkeypatch.setattr(verify, "factor_spd", no_solve)
+        monkeypatch.setattr(np.linalg, "inv", no_solve)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_solve)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert obs.diff_weight_min_eig() is None
+            assert obs.diff_weight_margin() is None
 
 
 class TestFactorizedOperatorChecks:
@@ -406,7 +427,7 @@ class _AfterInitial(RunObserver):
 @pytest.mark.parametrize("kind, sigma", CERTIFIED_RUNS)
 def test_transitions_make_no_scipy_matmul(monkeypatch, kind, sigma, m):
     # every per-step product, the observers' energies included, goes through
-    # blockops.Product; N = 62 holds dense observer weights, N = 128 sparse ones
+    # blockops.Product; N = 62 factors the observer weights dense, N = 128 banded
     prob = _certified_problem(kind, m)
     first = 1 if kind == "three_level" else 0
     cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=first + 6)
@@ -496,7 +517,7 @@ def test_initial_before_prepared_is_rejected(observer, kind):
 
 def test_diff_weight_before_prepared_is_rejected():
     with pytest.raises(ValueError, match="prepared must come first"):
-        EnergyObserver().diff_weight()
+        EnergyObserver().diff_weight_margin()
 
 
 SPARSE_ORACLE_GRIDS = [(2, 31), (4, 255)]
@@ -527,21 +548,25 @@ def test_slacks_match_dense_oracle(kind, sigma, p, m):
 class TestSparseObservers:
     """Above ``SPARSE_MIN_ORDER`` the observers hold sparse weights."""
 
-    @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.25])
-    def test_diff_weight_min_eig_matches_dense(self, sigma):
-        # sigma = 1 and 1/2 give a positive definite R (shift 0), sigma = 1/4 an
-        # indefinite one (bisected shift); at tau = 0.01 cond(R) is about 4e6,
-        # so both routes resolve the eigenvalue well within 1e-10
-        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=255))
-        cfg = SchemeConfig("three_level", sigma=sigma, tau=0.01, n_steps=2)
-        obs = EnergyObserver()
-        obs.assemble(prob, cfg, prepare(prob, cfg))
-        r = obs.diff_weight()
-        want_r = dense_diff_weight(prob, cfg)
-        assert sp.issparse(r)
-        assert np.abs(r.toarray() - want_r).max() <= 1e-13 * np.abs(want_r).max()
-        want = float(np.linalg.eigvalsh(want_r)[0])
-        assert obs.diff_weight_min_eig() == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
+    def test_diff_weight_margin_at_m4095_matches_modal(self, sigma):
+        # the Lanczos branch; sigma = 1/4 gives an indefinite R, and so a negative
+        # margin, directly; the margin is within 3e-10 of the per-mode value
+        spec = example_porosity_spec(p=2, m=4095)
+        prob = build_coupled_diffusion(spec)
+        for tau in (0.01, 1.0):
+            cfg = SchemeConfig("three_level", sigma=sigma, tau=tau, n_steps=2)
+            mu = observed_margin(prob, cfg)
+            assert mu == pytest.approx(modal_diff_weight_margin(spec, cfg), rel=1e-9)
+            assert (mu < 0.0) == (sigma < 0.5)
+
+    @pytest.mark.parametrize("tau", [0.01, 1.0])
+    def test_diff_weight_margin_at_m65535_matches_modal(self, tau):
+        # R's entries reach about 2e19 at tau = 1; the margin is within 3e-8 of the per-mode value
+        spec = example_porosity_spec(p=2, m=65_535)
+        cfg = SchemeConfig("three_level", sigma=1.0, tau=tau, n_steps=2)
+        mu = observed_margin(build_coupled_diffusion(spec), cfg)
+        assert mu == pytest.approx(modal_diff_weight_margin(spec, cfg), rel=1e-7)
 
     @pytest.mark.parametrize(
         "kind, sigma, spec, tau",
@@ -621,38 +646,6 @@ class TestSparseObservers:
             want = modal_three_level_energy(spec, cfg, levels[n], levels[n - 1])
             assert log.records[n].extras["energy"] == pytest.approx(want, rel=1e-7)
         assert obs.min_slack >= -1e-10 * obs.initial_energy
-
-    @pytest.mark.parametrize("m, unresolved", [(16_383, True), (31, False)])
-    def test_diff_weight_min_eig_unresolved_in_rounding(self, m, unresolved):
-        # at m = 16383, tau = 1, u ||R||_inf is about 45, above the smallest
-        # eigenvalue (about 12) itself; at m = 31 the eigenvalue is far above
-        # R's rounding
-        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=m))
-        cfg = SchemeConfig("three_level", sigma=1.0, tau=1.0, n_steps=2)
-        obs = EnergyObserver()
-        obs.assemble(prob, cfg, prepare(prob, cfg))
-        lam = obs.diff_weight_min_eig()
-        if unresolved:
-            assert lam is None
-        else:
-            assert lam == pytest.approx(float(np.linalg.eigvalsh(dense_diff_weight(prob, cfg))[0]), rel=1e-9)
-
-    def test_unresolved_min_eig_settled_by_two_factorizations(self, monkeypatch):
-        # at m = 65535, tau = 1, R - delta I is indefinite and R + delta I is not,
-        # which settles `unresolved` with no bisection and no eigen-iteration
-        prob = build_coupled_diffusion(example_porosity_spec(p=2, m=65_535))
-        cfg = SchemeConfig("three_level", sigma=1.0, tau=1.0, n_steps=2)
-        obs = EnergyObserver()
-        obs.assemble(prob, cfg, prepare(prob, cfg))
-        factored = []
-
-        def counting(matrix, context="matrix", real=linsolve.factor_spd):
-            factored.append(context)
-            return real(matrix, context=context)
-
-        monkeypatch.setattr(verify, "factor_spd", counting)
-        assert obs.diff_weight_min_eig() is None
-        assert len(factored) <= 2
 
 
 class TestReferenceSolution:
