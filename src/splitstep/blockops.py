@@ -4,7 +4,8 @@ A point in the state space is one contiguous read-only array of length
 ``n_1 + ... + n_p``, the components stored one after another in the order of
 ``sizes = (n_1, ..., n_p)``; ``BlockVector.parts`` gives per-component views
 of it.  Linear operators are p-by-p grids of matrix blocks; a missing block
-acts as an exact zero.  Every block is stored as a float64 CSR sparse array,
+acts as an exact zero.  Every block is stored as a float64 CSR sparse array
+in canonical form (rows sorted, no duplicates), in arrays the operator owns,
 whatever it was given as.  The schemes only ever invert the diagonal blocks,
 which is why the blockwise structure is kept explicit; everything that acts
 on the whole space (``apply``, norms, the symmetry defect) goes through one
@@ -40,13 +41,18 @@ class CertificateError(ValueError):
     """A claimed operator property (symmetry, positive definiteness) fails."""
 
 
+def _canonical_copy(matrix) -> sp.csr_array:
+    """A float64 CSR copy of a sparse matrix in canonical form: each row's column
+    indices sorted, duplicates summed.  The caller's arrays are only read."""
+    block = sp.csr_array(matrix, dtype=np.float64, copy=True)
+    block.sum_duplicates()
+    return block
+
+
 def _as_block(value, shape) -> sp.csr_array:
-    if type(value) is sp.csr_array and value.dtype == np.float64:
-        block = value
-    elif sp.issparse(value):
-        block = sp.csr_array(value)
-        if block.dtype != np.float64:
-            block = block.astype(np.float64)
+    """A block the operator owns: never an array its caller still holds."""
+    if sp.issparse(value):
+        block = _canonical_copy(value)
     else:
         dense = np.asarray(value, dtype=float)
         if dense.ndim != 2:
@@ -167,8 +173,12 @@ def _transpose_parts(csr) -> _CsrParts:
 
 
 def _csr_rows(csr) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    """Row index of every stored entry of a CSR matrix, in its index dtype: scipy's
+    ``expandptr``, the kernel of ``tocoo`` (about 1.5 us at order 31, against
+    about 7 us for ``np.repeat`` over ``np.diff``)."""
+    rows = np.empty(int(csr.indptr[-1]), dtype=csr.indptr.dtype)
+    _sparsetools.expandptr(csr.shape[0], csr.indptr, rows)
+    return rows
 
 
 def _largest_abs(data: np.ndarray) -> float:
@@ -301,6 +311,17 @@ class BlockOperator:
                 raise DimensionMismatchError(f"block index {(a, b)} out of range for p={p}")
             normalized[(a, b)] = _as_block(value, (self.dims.sizes[a], self.dims.sizes[b]))
         object.__setattr__(self, "blocks", normalized)
+
+    @classmethod
+    def _own(cls, dims: BlockDims, blocks: dict) -> "BlockOperator":
+        """Wrap blocks built here, from other blocks or from scratch, without copying them:
+        canonical float64 CSR arrays of the right shapes, shared with no caller.
+        ``lincomb``, the split halves and the assembled problems build every
+        block of a run's operators, so this skips ``__post_init__``'s copies."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "blocks", blocks)
+        return out
 
     @classmethod
     def identity(cls, dims: BlockDims, scale: float = 1.0) -> "BlockOperator":
@@ -489,7 +510,7 @@ def lincomb(a: float, M: BlockOperator, b: float, N: BlockOperator, shift: float
         if shift and r == c:
             terms.append((shift, _identity_parts(M.dims.sizes[r])))
         blocks[(r, c)] = _combine((M.dims.sizes[r], M.dims.sizes[c]), terms)
-    return BlockOperator(M.dims, blocks)
+    return BlockOperator._own(M.dims, blocks)
 
 
 # the symmetry defect, relative to the largest entry, that certify and triangular_split accept
@@ -534,7 +555,7 @@ def _halves(M: BlockOperator) -> TriangularPair:
             upper[(a, b)] = blk
         else:
             lower[(a, a)] = upper[(a, a)] = _combine(blk.shape, ((0.5, blk),))
-    return TriangularPair(BlockOperator(M.dims, lower), BlockOperator(M.dims, upper))
+    return TriangularPair(BlockOperator._own(M.dims, lower), BlockOperator._own(M.dims, upper))
 
 
 def certify(M: BlockOperator, context: str = "operator") -> None:

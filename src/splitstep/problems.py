@@ -102,8 +102,9 @@ def assemble_operators(spec: DiffusionSpec) -> tuple[BlockOperator, BlockOperato
                 a_blocks[(a, b)] = _combine(shape, ((spec.k[a, b], L), (spec.r[a, b], eye)))
             if spec.b[a, b] != 0.0:
                 b_blocks[(a, b)] = _combine(shape, ((spec.b[a, b], eye),))
-    A = BlockOperator(spec.dims, a_blocks)
-    B = BlockOperator(spec.dims, b_blocks)
+    # built here, so owned: no copies
+    A = BlockOperator._own(spec.dims, a_blocks)
+    B = BlockOperator._own(spec.dims, b_blocks)
     certify(A, context="assembled A")
     certify(B, context="assembled B")
     return A, B

@@ -89,6 +89,18 @@ def random_block_diag_spd(rng, dims: BlockDims) -> BlockOperator:
     return BlockOperator(dims, blocks)
 
 
+def reversed_rows(csr) -> sp.csr_array:
+    """The same matrix, each row's entries stored in reverse column order."""
+    indices, data = csr.indices.copy(), csr.data.copy()
+    for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
+        indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1].copy(), data[lo:hi][::-1].copy()
+    return sp.csr_array((data, indices, csr.indptr.copy()), shape=csr.shape)
+
+
+def csr_arrays(csr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return csr.indptr, csr.indices, csr.data
+
+
 def random_smooth_forcing(rng, dims: BlockDims, n_terms=2) -> ExponentialSumForcing:
     terms = tuple(
         (float(rng.uniform(-1.5, 0.5)), random_vector(rng, dims)) for _ in range(n_terms)

@@ -40,7 +40,7 @@ from splitstep.linsolve import SPARSE_MIN_ORDER
 from splitstep.problems import assemble_operators, build_coupled_diffusion
 from splitstep.schemes import SchemeConfig, SchemeKind, prepare
 
-from helpers import random_dims, random_spd, random_symmetric, random_vector
+from helpers import csr_arrays, random_dims, random_spd, random_symmetric, random_vector, reversed_rows
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -356,6 +356,23 @@ class TestSingleStorage:
         for name, op in ops.items():
             assert op.blocks, name
             assert all(type(blk) is sp.csr_array for blk in op.blocks.values()), name
+
+    def test_blocks_are_canonical_copies(self):
+        # an unsorted caller's matrix: the operator stores it sorted, in its own
+        # arrays, and the caller's arrays are neither sorted nor shared
+        n = 130
+        G = reversed_rows(sp.csr_array(sp.diags_array([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                                                      offsets=[-1, 0, 1])))
+        before = [a.copy() for a in csr_arrays(G)]
+        M = BlockOperator(BlockDims((n,)), {(0, 0): G})
+        blk = M.block(0, 0)
+        for got, want in zip(csr_arrays(G), before):
+            np.testing.assert_array_equal(got, want)
+        assert not any(np.shares_memory(a, b) for a in csr_arrays(blk) for b in csr_arrays(G))
+        assert all(np.all(np.diff(blk.indices[lo:hi]) > 0) for lo, hi in zip(blk.indptr[:-1], blk.indptr[1:]))
+        np.testing.assert_array_equal(blk.toarray(), G.toarray())
+        G.data[:] = 0.0
+        assert M.block(0, 0).toarray()[0, 0] == 4.0
 
 
 def _with_index_dtype(csr: sp.csr_array, dtype) -> sp.csr_array:

@@ -30,7 +30,15 @@ from splitstep import (
 from splitstep.blockops import DimensionMismatchError, Product
 from splitstep.linsolve import SPARSE_MIN_ORDER, BlockStructureError
 
-from helpers import full_spec, random_block_diag_spd, random_dims, random_spd, random_vector
+from helpers import (
+    csr_arrays,
+    full_spec,
+    random_block_diag_spd,
+    random_dims,
+    random_spd,
+    random_vector,
+    reversed_rows,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -155,6 +163,22 @@ class TestTriangularSweeps:
         with pytest.raises(DimensionMismatchError):
             solve_block_upper(L, bad, diag)
 
+    def test_factors_must_be_the_operators(self):
+        # a sweep once took another operator's factors and returned a vector 67% off
+        from splitstep.problems import manufactured_problem
+
+        prob = manufactured_problem(example_coupled_spec(2, 31)).problem
+        ws1 = prepare(prob, SchemeConfig("factorized", sigma=0.5, tau=0.1, n_steps=1))
+        ws2 = prepare(prob, SchemeConfig("factorized", sigma=1.0, tau=0.5, n_steps=1))
+        with pytest.raises(ValueError, match=r"factor \(1,1\) was not made from"):
+            solve_block_lower(ws1.lower, prob.v0, ws2.diag)
+        with pytest.raises(ValueError, match=r"factor \(1,1\) was not made from"):
+            solve_block_upper(ws1.upper, prob.v0, ws2.diag)
+        # the halves of a split pair hold equal diagonal blocks: both bind
+        half = solve_block_lower(ws1.lower, prob.v0, ws1.diag)
+        np.testing.assert_allclose(ws1.lower.to_dense() @ half.to_flat(), prob.v0.to_flat(), rtol=1e-12)
+        solve_block_upper(ws1.upper, prob.v0, ws1.diag)
+
     @pytest.mark.parametrize("factor_sizes", [(2, 2, 2, 2), (2, 2), (2, 3, 2)])
     def test_factors_must_match_components(self, factor_sizes):
         # more factors than components once returned all ones, fewer an IndexError
@@ -276,11 +300,120 @@ def _banded_spd(rng, n, kd, shift=1.0):
     return sp.csr_array(M + sp.diags_array(dominance + shift))
 
 
+class TestTridiagonalPath:
+    """A sparse matrix of bandwidth at most 1 gets LDL^T at every order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 80, 127, 128, 1000])
+    def test_matches_dense_cholesky(self, n):
+        rng = np.random.default_rng(40 + n)
+        G = _banded_spd(rng, n, 1)
+        factor = factor_spd(G)
+        assert factor.bandwidth is not None and factor.bandwidth <= 1 and factor.perm is None
+        chol, info = lapack.dpotrf(G.toarray(), lower=1)
+        assert info == 0
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            want, info = lapack.dpotrs(chol, rhs, lower=1)
+            got = factor.solve(rhs)
+            assert got.shape == rhs.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_indefinite_pivot_matches_dpotrf(self):
+        rng = np.random.default_rng(41)
+        G = _banded_spd(rng, 31, 1).tolil()
+        G[17, 17] = -5.0
+        G = sp.csr_array(G)
+        _, dense_info = lapack.dpotrf(G.toarray(), lower=1)
+        assert dense_info > 0
+        with pytest.raises(NotPositiveDefiniteError, match="short block") as exc_info:
+            factor_spd(G, context="short block")
+        assert exc_info.value.pivot == dense_info
+
+    def test_order_one_pivot(self):
+        with pytest.raises(NotPositiveDefiniteError) as exc_info:
+            factor_spd(sp.csr_array([[-2.0]]))
+        assert exc_info.value.pivot == 1
+
+    def test_coupled_operator_at_n62_stays_dense(self):
+        from splitstep.problems import assemble_operators
+
+        A, B = assemble_operators(example_coupled_spec(p=2, m=31))
+        assert factor_spd(lincomb(1.0, B, 0.5 / 64, A)).bandwidth is None
+
+
+class TestCallersArrays:
+    """Nothing factors or solves in the arrays its caller handed in."""
+
+    @pytest.mark.parametrize("kd", [1, 2])
+    def test_factor_spd_leaves_unsorted_rows_unsorted(self, kd):
+        rng = np.random.default_rng(43)
+        G = reversed_rows(_banded_spd(rng, 130, kd))
+        before = [a.copy() for a in csr_arrays(G)]
+        factor = factor_spd(G)
+        for got, want in zip(csr_arrays(G), before):
+            np.testing.assert_array_equal(got, want)
+        rhs = rng.standard_normal(130)
+        want = np.linalg.solve(G.toarray(), rhs)
+        assert np.abs(factor.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, kd, shuffled", [(31, 2, False), (200, 1, False), (200, 1, True), (200, 3, False)])
+    def test_in_place_solve_matches_the_copying_one(self, n, kd, shuffled):
+        # dense, LDL^T, permuted LDL^T and band Cholesky: a sweep solves in a slice of its result
+        rng = np.random.default_rng(45)
+        G = _banded_spd(rng, n, kd)
+        if shuffled:
+            order = rng.permutation(n)
+            G = G[order][:, order]
+        factor = factor_spd(G)
+        buffer = rng.standard_normal(n + 4)
+        rhs = buffer[2:-2].copy()
+        around = buffer[[0, 1, -2, -1]].copy()
+        factor._solve_in_place(buffer[2:-2])
+        np.testing.assert_array_equal(buffer[2:-2], factor(rhs))
+        np.testing.assert_array_equal(buffer[[0, 1, -2, -1]], around)
+
+    def test_bound_sweep_leaves_its_read_only_input(self):
+        # one tridiagonal block in natural order, one shuffled, which takes a permuted factor
+        rng = np.random.default_rng(44)
+        n = SPARSE_MIN_ORDER + 22
+        shuffle = rng.permutation(n)
+        dims = BlockDims((31, n))
+        T = BlockOperator(dims, {
+            (0, 0): _banded_spd(rng, 31, 1),
+            (1, 0): sp.csr_array(rng.standard_normal((n, 31))),
+            (1, 1): _banded_spd(rng, n, 1)[shuffle][:, shuffle],
+        })
+        diag = DiagFactorization.from_operator(T)
+        assert diag.factors[0].perm is None and diag.factors[1].perm is not None
+        b = rng.standard_normal(dims.total)
+        b.setflags(write=False)
+        before = b.copy()
+        for upper in (False, True):
+            op = T.transpose() if upper else T
+            x = diag.sweep(op, upper)(b)
+            np.testing.assert_array_equal(b, before)
+            want = np.linalg.solve(op.to_dense(), b)
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        for factor in diag.factors:
+            rhs = rng.standard_normal(factor.chol_lower.shape[1])
+            rhs.setflags(write=False)
+            kept = rhs.copy()
+            factor(rhs), factor.solve(rhs)
+            np.testing.assert_array_equal(rhs, kept)
+
+
 class TestBandedPath:
     def test_small_orders_stay_dense(self):
-        G = laplacian_1d(SPARSE_MIN_ORDER - 1) + sp.identity(SPARSE_MIN_ORDER - 1)
-        assert factor_spd(G).bandwidth is None
-        assert factor_spd(laplacian_1d(SPARSE_MIN_ORDER)).bandwidth == 1
+        # below the crossover all but a sparse tridiagonal matrix: dense arrays,
+        # BlockOperators and wider bands
+        rng = np.random.default_rng(42)
+        n = SPARSE_MIN_ORDER - 1
+        T = _banded_spd(rng, n, 1)
+        assert factor_spd(T).bandwidth == 1
+        assert factor_spd(T.toarray()).bandwidth is None
+        assert factor_spd(BlockOperator(BlockDims((n,)), {(0, 0): T})).bandwidth is None
+        assert factor_spd(_banded_spd(rng, n, 2)).bandwidth is None
+        assert factor_spd(_banded_spd(rng, SPARSE_MIN_ORDER, 2)).bandwidth == 2
+
 
     @pytest.mark.parametrize("kd", [0, 1, 4])
     def test_matches_dense_solve(self, kd):

@@ -539,15 +539,18 @@ class TestRun:
 
 
 class TestBandedSchemes:
-    """Above the band crossover every scheme runs on band factors."""
+    """Tridiagonal blocks take LDL^T at every order; above the band crossover
+    the coupled operator runs on a band factor too."""
 
     def test_identity_blocks_follow_the_crossover(self):
+        # the diagonal blocks take LDL^T at every order, C dense below the crossover
         for m, banded in ((31, False), (SPARSE_MIN_ORDER, True)):
             prob = manufactured_problem(example_porosity_spec(p=2, m=m)).problem
             ws = prepare(prob, SchemeConfig("three_level", sigma=1.0, tau=0.1, n_steps=2))
             for op in (ws.split.lower, ws.split.upper, ws.startup.shifted):
                 assert all(isinstance(blk, sp.csr_array) for blk in op.blocks.values())
-            assert all((f.bandwidth is not None) == banded for f in ws.split.diag.factors)
+            assert [f.bandwidth for f in ws.split.diag.factors] == [1, 1]
+            assert (ws.startup.factor.bandwidth is not None) == banded
 
     def test_sigma_zero_coincidence_at_m300(self):
         # with sigma = 0 the factorized operator B B^{-1} B is B itself, so
@@ -673,13 +676,12 @@ class TestWrittenOutArithmetic:
         cfg = SchemeConfig(kind, sigma=sigma, tau=1 / 64, n_steps=5)
         ws = prepare(prob, cfg)
         weighted = ws.startup if kind == "three_level" else ws
-        # the dense LAPACK path at N = 62, the banded one (LDL^T blocks, reordered C) at N = 1020
-        banded = m >= SPARSE_MIN_ORDER
+        # LDL^T diagonal blocks at every order; C dense at N = 62, reordered and banded at N = 1020
         if kind != "factorized":
-            assert (weighted.factor.bandwidth is not None) == banded
+            assert (weighted.factor.bandwidth is not None) == (m >= SPARSE_MIN_ORDER)
         if kind != "weighted":
             split = ws.split if kind == "three_level" else ws
-            assert all((f.bandwidth is not None) == banded for f in split.diag.factors)
+            assert all(f.bandwidth == 1 and f.perm is None for f in split.diag.factors)
         observer = EnergyObserver() if kind == "three_level" else EstimateObserver()
         log = run(prob, cfg, observers=(observer,))
 

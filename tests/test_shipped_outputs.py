@@ -19,6 +19,13 @@ output on purpose rewrites these files, through the same child, in its own
 diff:
 
     PYTHONPATH=src python tests/test_shipped_outputs.py
+
+and first shows what it moves, through the same child, writing nothing:
+
+    PYTHONPATH=src python tests/test_shipped_outputs.py --diff
+
+which prints each changed number (``file:line``, old, new, relative change),
+each changed text between numbers and each changed line count.
 """
 
 import contextlib
@@ -117,9 +124,39 @@ def test_shipped_outputs_match(outputs, command):
             assert_same_cells(g, w, f"{name}:{line}")
 
 
+def changed_cells(out: Path) -> list[str]:
+    """One line per difference between the outputs under ``out`` and the committed ones."""
+    changes = []
+    for command in SHIPPED:
+        for file_name in output_names(command):
+            name = f"{command}/{file_name}"
+            got = (out / command / file_name).read_text(encoding="utf-8").splitlines()
+            want = (DATA / command / file_name).read_text(encoding="utf-8").splitlines()
+            if len(got) != len(want):
+                changes.append(f"{name}: {len(want)} lines -> {len(got)} lines")
+            for line, (g, w) in enumerate(zip(got, want), start=1):
+                got_cells, want_cells = NUMBER.split(g), NUMBER.split(w)
+                if len(got_cells) != len(want_cells):
+                    changes.append(f"{name}:{line}: text {w!r} -> {g!r}")
+                    continue
+                for i, (new, old) in enumerate(zip(got_cells, want_cells)):
+                    if new == old:
+                        continue
+                    if i % 2 == 0:
+                        changes.append(f"{name}:{line}: text {old!r} -> {new!r}")
+                    else:
+                        scale = max(abs(float(old)), abs(float(new)))
+                        rel = abs(float(new) - float(old)) / scale if scale else 0.0
+                        changes.append(f"{name}:{line}: {old} -> {new} (relative change {rel:.1e})")
+    return changes
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         write_outputs(Path(sys.argv[2]))
+    elif sys.argv[1:2] == ["--diff"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            print("\n".join(changed_cells(shipped_outputs(Path(tmp)))) or "no change")
     else:
         with tempfile.TemporaryDirectory() as tmp:
             shipped_outputs(Path(tmp))

@@ -392,7 +392,9 @@ def test_transitions_make_no_solve(monkeypatch, kind, sigma, diag_b):
 
         return wrapper
 
+    # a factor solves into a new array when called, in place inside a sweep
     monkeypatch.setattr(SpdFactor, "__call__", counted("solve", SpdFactor.__call__))
+    monkeypatch.setattr(SpdFactor, "_solve_in_place", counted("solve", SpdFactor._solve_in_place))
     for module in (linsolve, schemes, verify):
         for name in ("solve_block_lower", "solve_block_upper"):
             if hasattr(module, name):
